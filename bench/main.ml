@@ -16,7 +16,7 @@
           --seeds N       range over N seeds in table 1
           --smoke         heavily down-scaled runs (CI)
           --json          also write a JSON summary
-          --json-out F    JSON destination (default BENCH_pr10.json)
+          --json-out F    JSON destination (default BENCH.json)
           --collector C   restrict the resilience matrix to one backend
                           (conservative | generational | explicit |
                           precise | all)
@@ -708,102 +708,6 @@ let mark_throughput ~smoke ~jobs () =
 (* Memory-pressure resilience: the chaos matrix                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Recovery latency of the self-healing tracer: a rooted-list heap is
-   marked at jobs=4 with each marker-domain failure mode armed against
-   domain 1, under a tight watchdog budget.  For every mode we report
-   the wall-clock cost of a faulted cycle next to the healthy baseline
-   (the difference is detection + reclamation), the reclaim kinds taken
-   (clean boundary merges vs dirty rollback-and-replay), the fallback
-   cause of the last cycle, and — the invariant that matters — that
-   every faulted cycle still marked exactly the serial object count. *)
-let recovery_latency ~smoke () =
-  Format.printf "@.  domain-failure recovery (self-healing tracer, jobs=4):@.";
-  let jobs = 4 in
-  let mem = Mem.create () in
-  let data =
-    Mem.map mem ~name:"globals" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x2000
-  in
-  let lists = if smoke then 20 else 80 in
-  let nodes = if smoke then 300 else 1500 in
-  let config =
-    { Cgc.Config.default with Cgc.Config.initial_pages = 64; mark_watchdog_budget = 96 }
-  in
-  let gc =
-    Cgc.Gc.create ~config mem ~base:(Addr.of_int 0x400000) ~max_bytes:(32 * 1024 * 1024) ()
-  in
-  Cgc.Gc.set_auto_collect gc false;
-  Cgc.Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"globals";
-  for i = 0 to lists - 1 do
-    let head = Cgc.Gc.allocate gc 16 in
-    let prev = ref (Addr.to_int head) in
-    for _ = 2 to nodes do
-      let c = Cgc.Gc.allocate gc 16 in
-      Cgc.Gc.set_field gc c 0 !prev;
-      prev := Addr.to_int c
-    done;
-    Cgc.Gc.set_field gc head 0 !prev;
-    Segment.write_word data (Addr.add (Segment.base data) (4 * i)) (Addr.to_int head)
-  done;
-  let st = Cgc.Gc.stats gc in
-  let marked_by runner =
-    let m0 = st.Cgc.Stats.objects_marked in
-    runner ();
-    st.Cgc.Stats.objects_marked - m0
-  in
-  let serial_marked = marked_by (fun () -> Cgc.Gc.Internal.run_mark gc) in
-  let iters = if smoke then 3 else 10 in
-  let measure faults =
-    let m0 = st.Cgc.Stats.objects_marked in
-    let clean = ref 0 and dirty = ref 0 and last = ref None in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      let o = Cgc.Gc.Internal.run_mark_parallel ~faults gc ~jobs in
-      last := o.Cgc.Mark.Parallel.fallback;
-      match o.Cgc.Mark.Parallel.health with
-      | None -> ()
-      | Some h ->
-          clean := !clean + h.Cgc.Mark.Parallel.clean_recoveries;
-          dirty := !dirty + h.Cgc.Mark.Parallel.dirty_recoveries
-    done;
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int iters in
-    let marked = (st.Cgc.Stats.objects_marked - m0) / iters in
-    (ms, marked, !clean, !dirty, !last)
-  in
-  let baseline_ms, _, _, _, _ = measure [] in
-  json_float "resilience_recovery_baseline_ms" baseline_ms;
-  Format.printf "  %-10s : %7.2f ms/cycle (healthy baseline, %d objects)@." "baseline"
-    baseline_ms serial_marked;
-  let all_parity = ref true in
-  List.iter
-    (fun spec ->
-      let name = W.Chaos.domain_fault_name spec in
-      let ms, marked, clean, dirty, last = measure (W.Chaos.domain_fault_plans spec) in
-      let parity = marked = serial_marked in
-      if not parity then all_parity := false;
-      let cause =
-        match last with
-        | None -> "parallel"
-        | Some f -> Cgc.Mark.Parallel.fallback_to_string f
-      in
-      Format.printf
-        "  %-10s : %7.2f ms/cycle (+%.2f ms recovery; %d clean / %d dirty reclaims over %d \
-         cycles; last: %s) — marks %s@."
-        name ms
-        (Float.max 0.0 (ms -. baseline_ms))
-        clean dirty iters cause
-        (if parity then "exact" else "DIVERGED");
-      json_float (Printf.sprintf "resilience_recovery_%s_ms" name) ms;
-      json_int (Printf.sprintf "resilience_recovery_%s_clean_reclaims" name) clean;
-      json_int (Printf.sprintf "resilience_recovery_%s_dirty_reclaims" name) dirty;
-      json_bool (Printf.sprintf "resilience_recovery_%s_parity" name) parity)
-    (List.filter (fun s -> s <> W.Chaos.No_domain_fault) W.Chaos.all_domain_faults);
-  json_int "resilience_recovery_serial_objects" serial_marked;
-  json_bool "resilience_recovery_parity" !all_parity;
-  if not !all_parity then begin
-    Format.eprintf "resilience: recovered mark state diverged from the serial scanner@.";
-    exit 1
-  end
-
 (* Every backend (conservative, generational, explicit) crossed with
    every seeded fault plan — refused commits plus the read/write access
    faults; the JSON carries the aggregated allocation-ladder rung and
@@ -881,8 +785,7 @@ let resilience ~smoke ?collectors ?(mark_jobs = 1) () =
   if dirty <> [] then begin
     Format.eprintf "resilience: chaos matrix violations@.";
     exit 1
-  end;
-  recovery_latency ~smoke ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Static starvation prediction vs the measured oom_diagnosis          *)
@@ -1098,7 +1001,7 @@ let () =
     let rec find = function
       | "--json-out" :: path :: _ -> path
       | _ :: rest -> find rest
-      | [] -> "BENCH_pr10.json"
+      | [] -> "BENCH.json"
     in
     find args
   in

@@ -80,13 +80,11 @@ let begin_cycle t =
     t.current <- old
   end
 
-(* Cycle snapshots for the quorum-degradation path of the parallel
-   marker: when a parallel trace is abandoned mid-flight, the serial
-   rerun calls [begin_cycle] a second time in the same collection,
-   which would age out the pre-trace [previous] set one cycle early
-   (and [begin_cycle] clears the displaced bitset in place, so the
-   snapshot must copy).  [save_cycle] before the parallel attempt and
-   [restore_cycle] before the serial rerun make the abandoned attempt
+(* Cycle snapshots for speculative marks: [Verify.check_precise_mark]
+   runs a shadow conservative mark whose [begin_cycle] would otherwise
+   age the real blacklist one cycle early (and [begin_cycle] clears the
+   displaced bitset in place, so the snapshot must copy).  [save_cycle]
+   before the shadow mark and [restore_cycle] after it make the mark
    invisible to the aging protocol. *)
 type snapshot = {
   s_current : Bitset.t;

@@ -28,12 +28,9 @@ type t = {
   mutable last_mark_outcome : Mark.Parallel.outcome option;
       (* how the most recent mark phase ran when [Config.mark_jobs > 1]:
          parallel, or serial with a typed fallback note (armed access
-         plan, or marker-domain failures breaking quorum).  [None] until
-         the first such phase — and always [None] with the default
-         [mark_jobs = 1], whose serial path is untouched *)
-  mutable domain_faults : Domain_fault.plan list;
-      (* armed marker-domain failure plans, handed to every parallel
-         mark phase until disarmed; [] for the healthy tracer *)
+         plan).  [None] until the first such phase — and always [None]
+         with the default [mark_jobs = 1], whose serial path is
+         untouched *)
 }
 
 (* --- the allocation escalation ladder --- *)
@@ -135,7 +132,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       collect_hook = None;
       oom_hook = None;
       last_mark_outcome = None;
-      domain_faults = [];
     }
   in
   t
@@ -167,20 +163,17 @@ let clear_roots t = Roots.clear t.roots
 let quarantined t i = Bitset.mem t.decayed_pages i
 
 let last_mark_outcome t = t.last_mark_outcome
-let set_domain_faults t plans = t.domain_faults <- plans
-let domain_faults t = t.domain_faults
 
 (* The mark phase, honouring [Config.mark_jobs]: 1 keeps the serial
    fast path byte-for-byte (no outcome recorded); > 1 runs the parallel
    tracer, which itself falls back to serial — with a typed note —
-   while a [Mem.Fault] access plan is armed or when injected
-   marker-domain failures break [Config.mark_quorum] mid-trace. *)
+   while a [Mem.Fault] access plan is armed. *)
 let run_mark_phase t =
   let jobs = t.config.Config.mark_jobs in
   if jobs <= 1 then Mark.run t.marker t.roots ~mem:t.mem
   else
     t.last_mark_outcome <-
-      Some (Mark.Parallel.run ~faults:t.domain_faults t.marker t.roots ~mem:t.mem ~jobs)
+      Some (Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs)
 
 (* Lazy mode: sweep every page still awaiting its sweep. *)
 let drain_pending_sweeps t =
@@ -194,13 +187,13 @@ let drain_pending_sweeps t =
   !freed
 
 let collect t =
-  let t0 = Sys.time () in
+  let t0 = Stats.now () in
   t.stats.Stats.collections <- t.stats.Stats.collections + 1;
   if t.config.Config.lazy_sweep then begin
     (* leftovers from the previous cycle must go before marks are reset *)
     let (_ : int) = drain_pending_sweeps t in
     run_mark_phase t;
-    let t1 = Sys.time () in
+    let t1 = Stats.now () in
     Heap.iter_committed t.heap (fun i p ->
         match p with
         | Page.Small _ | Page.Large_head _ -> Bitset.add t.pending_sweep i
@@ -210,11 +203,11 @@ let collect t =
   end
   else begin
     run_mark_phase t;
-    let t1 = Sys.time () in
+    let t1 = Stats.now () in
     let (_ : Sweep.result) =
       Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
     in
-    let t2 = Sys.time () in
+    let t2 = Stats.now () in
     t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
     t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t2 -. t1);
     t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)
@@ -814,9 +807,8 @@ module Internal = struct
   let note_collected t = t.allocated_since_gc <- 0
   let run_mark_reference t = Mark.Reference.run t.marker t.roots ~mem:t.mem
 
-  let run_mark_parallel ?(faults = []) t ~jobs =
-    let faults = if faults = [] then t.domain_faults else faults in
-    let outcome = Mark.Parallel.run ~faults t.marker t.roots ~mem:t.mem ~jobs in
+  let run_mark_parallel t ~jobs =
+    let outcome = Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs in
     t.last_mark_outcome <- Some outcome;
     outcome
 

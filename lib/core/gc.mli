@@ -185,19 +185,8 @@ val live_bytes : t -> int
 val last_mark_outcome : t -> Mark.Parallel.outcome option
 (** How the most recent mark phase ran when [Config.mark_jobs > 1]:
     parallel ([fallback = None]) or serial with a typed note (an armed
-    [Mem.Fault] access plan forces serial marking up front;
-    marker-domain failures breaking [Config.mark_quorum] abandon the
-    trace mid-flight and rerun it serially, noted [Domain_failed]).
-    Always [None] with the default [mark_jobs = 1]. *)
-
-val set_domain_faults : t -> Domain_fault.plan list -> unit
-(** Arm marker-domain failure plans: every subsequent parallel mark
-    phase injects them (at most one plan per victim domain) until
-    disarmed with [set_domain_faults t []].  The chaos driver's
-    domain-failure axis and the recovery benchmarks sit on this. *)
-
-val domain_faults : t -> Domain_fault.plan list
-(** The currently armed marker-domain failure plans. *)
+    [Mem.Fault] access plan forces serial marking).  Always [None] with
+    the default [mark_jobs = 1]. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -238,13 +227,11 @@ module Internal : sig
       pre-optimization scan loop.  Used by the differential tests and the
       mark-throughput benchmark. *)
 
-  val run_mark_parallel : ?faults:Domain_fault.plan list -> t -> jobs:int -> Mark.Parallel.outcome
+  val run_mark_parallel : t -> jobs:int -> Mark.Parallel.outcome
   (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker
       domains (serial for [jobs <= 1] or under an armed access plan,
-      with the typed note in the outcome).  [faults] overrides the
-      armed {!set_domain_faults} plans for this one trace ([] = use the
-      armed ones).  Records the outcome in {!last_mark_outcome}.  Used
-      by the jobs differential, the failure-plan differential and the
+      with the typed note in the outcome).  Records the outcome in
+      {!last_mark_outcome}.  Used by the jobs differential and the
       [bench mark --jobs] sweep. *)
 
   val is_marked : t -> Addr.t -> bool

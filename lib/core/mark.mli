@@ -74,22 +74,7 @@ end
 
     The result — mark bitmap, blacklist, downgrade behavior — is
     bit-identical to the serial marker for any [jobs], pinned by the
-    [test_mark_diff] QCheck differential.
-
-    The tracer is self-healing against its own domains (DESIGN.md §9):
-    {!Domain_fault} plans inject deterministic stalls, crashes,
-    livelocks and stragglers at the deque push/pop/steal and
-    chunk-claim checkpoints; the leader (domain 0, which never fails)
-    watches per-domain heartbeat words while idle and, after
-    [Config.mark_watchdog_budget] no-progress observations (with capped
-    exponential backoff between observation rounds), fences the suspect
-    and reclaims its work — merging it when the domain stopped at an
-    item boundary, or rolling it back bit-by-bit and replaying its
-    claim journal when it died mid-item.  Recovered marks, blacklists
-    and [objects_marked] stay bit-identical to the serial scanner for
-    any failure of k < jobs domains; if survivors drop below
-    [Config.mark_quorum] the trace is abandoned and rerun serially with
-    a typed {!Parallel.Domain_failed} note. *)
+    [test_mark_diff] QCheck differential. *)
 module Parallel : sig
   type fallback =
     | Serial_configured  (** [jobs <= 1]: the serial fast path, by design *)
@@ -97,42 +82,19 @@ module Parallel : sig
         (** a [Mem.Fault] access plan is armed; its trip streams are
             stateful (countdowns, seeded draws) and cannot be raced
             across domains, so the serial marker ran instead *)
-    | Domain_failed
-        (** marker-domain failures broke [Config.mark_quorum] mid-trace;
-            the parallel attempt was abandoned (shadow marks and shards
-            discarded, blacklist cycle rolled back) and the serial
-            scanner reran the trace from scratch *)
 
   val fallback_to_string : fallback -> string
 
-  type health = {
-    heartbeats : int array;  (** final per-domain heartbeat words *)
-    failed : int list;  (** ids of reclaimed domains, in reclaim order *)
-    clean_recoveries : int;  (** reclaims that merged the victim's shard *)
-    dirty_recoveries : int;  (** reclaims that rolled back and replayed *)
-    survivors : int;  (** jobs minus reclaimed domains *)
-    quorum : int;  (** the [Config.mark_quorum] in force *)
-    tasks_issued : int;  (** root tasks fed to the shared claim queue *)
-  }
-  (** Watchdog/recovery audit trail of one parallel trace, consumed by
-      [Verify.check_parallel_mark]'s heartbeat/quorum audit. *)
-
   type outcome = {
     jobs_requested : int;
-    domains_used : int;
-        (** [jobs_requested] when the parallel tracer ran (even if it
-            was later abandoned), 1 on the up-front fallbacks *)
-    fallback : fallback option;  (** [None] iff the parallel trace completed *)
+    domains_used : int;  (** [jobs_requested] when parallel, 1 on fallback *)
+    fallback : fallback option;  (** [None] iff the parallel tracer ran *)
     shards : Stats.t array;
         (** per-domain stats snapshots (empty on fallback); their
             trace-phase counters sum to the serial totals *)
-    health : health option;  (** [None] iff the domains never spawned *)
   }
 
-  val run : ?faults:Domain_fault.plan list -> t -> Roots.t -> mem:Mem.t -> jobs:int -> outcome
+  val run : t -> Roots.t -> mem:Mem.t -> jobs:int -> outcome
   (** Like {!run}, with [jobs] marker domains.  [jobs <= 1] or an armed
-      access plan runs the serial marker and says so in the outcome.
-      [faults] arms at most one {!Domain_fault} plan per victim domain
-      (first plan per domain wins; plans naming [domain >= jobs] are
-      ignored). *)
+      access plan runs the serial marker and says so in the outcome. *)
 end

@@ -55,34 +55,10 @@ val is_access_plan : plan_spec -> bool
 
 val instantiate : plan_spec -> Cgc_vm.Mem.Fault.plan
 
-(** The marker-domain failure axis, orthogonal to the memory-fault
-    plans: each armed cell injects one {!Cgc.Domain_fault} plan against
-    domain 1 of every parallel mark phase (under a tightened watchdog
-    budget), and additionally audits the recovery discipline — armed
-    cells that really marked in parallel must have tripped the fault,
-    stall/crash/livelock victims must have been reclaimed, access-plan
-    cells must never reach a fault site, and quorum (1) must never
-    degrade. *)
-type domain_fault_spec =
-  | No_domain_fault
-  | Stall_fault  (** victim freezes at an item boundary — clean reclaim *)
-  | Crash_fault  (** victim dies at a checkpoint — clean or dirty reclaim *)
-  | Livelock_fault  (** victim freezes holding a claimed item — dirty reclaim *)
-  | Straggler_fault
-      (** victim is merely slow; the watchdog may reclaim it or tolerate
-          it, and recovery must be exact either way *)
-
-val all_domain_faults : domain_fault_spec list
-val domain_fault_name : domain_fault_spec -> string
-
-val domain_fault_plans : domain_fault_spec -> Cgc.Domain_fault.plan list
-(** The concrete plans an armed cell passes to {!Cgc.Gc.set_domain_faults}. *)
-
 type outcome = {
   collector : string;
   scenario : string;
   plan : string;
-  domain_fault : string;  (** the armed {!domain_fault_spec}'s name *)
   steps : int;
   mark_jobs : int;  (** marker domains requested of the conservative tracer *)
   last_fallback : string option;
@@ -120,7 +96,6 @@ val run_scenario :
   ?steps:int ->
   ?collector:collector ->
   ?mark_jobs:int ->
-  ?domain_fault:domain_fault_spec ->
   seed:int ->
   scenario:string ->
   config:Cgc.Config.t ->
@@ -133,10 +108,7 @@ val run_scenario :
     run additionally asserts the marking discipline — access plans must
     show the typed serial fallback, commit plans must really have marked
     in parallel — and any violation lands in [final_issues], so {!clean}
-    catches it.  [domain_fault] (default {!No_domain_fault}) arms the
-    marker-domain failure axis on the conservative collector (ignored
-    for other backends and for [mark_jobs <= 1]), including its
-    recovery-discipline audit. *)
+    catches it. *)
 
 val base_config : Cgc.Config.t
 (** {!Cgc.Config.default} on a small committed footprint (8 initial
@@ -158,7 +130,6 @@ val run_matrix :
   ?steps:int ->
   ?collectors:collector list ->
   ?mark_jobs:int ->
-  ?domain_fault:domain_fault_spec ->
   seed:int ->
   unit ->
   outcome list
@@ -167,8 +138,7 @@ val run_matrix :
     collector runs all {!default_scenarios}; the generational and
     explicit backends run the eager base configuration; the precise
     backend runs the eager and bounded-mark-stack configurations (the
-    exact marker's two interesting axes).  [mark_jobs] (default 1) and
-    [domain_fault] (default {!No_domain_fault}) are forwarded to every
-    cell. *)
+    exact marker's two interesting axes).  [mark_jobs] (default 1) is
+    forwarded to every cell. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
