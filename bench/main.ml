@@ -19,10 +19,7 @@
           --json-out F    JSON destination (default BENCH.json)
           --collector C   restrict the resilience matrix to one backend
                           (conservative | generational | explicit |
-                          precise | all)
-          --jobs N        marker-domain sweep ceiling for the mark
-                          section (default 4: measures jobs 1, 2, 4) and
-                          the tracer width for the resilience matrix *)
+                          precise | all) *)
 
 open Cgc_vm
 module W = Cgc_workloads
@@ -54,62 +51,6 @@ let json_write path =
   output_string oc "}\n";
   close_out oc;
   Format.printf "@.wrote %s@." path
-
-(* Differential guard: the precise-collector work must not move
-   Table 1.  When a previous summary (BENCH_pr9.json) sits next to the
-   output, every retention figure present in both must be
-   bit-identical. *)
-let read_json_fields path =
-  let ic = open_in path in
-  let fields = ref [] in
-  let strip_quotes s =
-    let n = String.length s in
-    if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then String.sub s 1 (n - 2) else s
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       match String.index_opt line ':' with
-       | None -> ()
-       | Some i ->
-           let key = strip_quotes (String.trim (String.sub line 0 i)) in
-           let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-           let value =
-             let n = String.length value in
-             if n > 0 && value.[n - 1] = ',' then String.sub value 0 (n - 1) else value
-           in
-           fields := (key, value) :: !fields
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !fields
-
-let check_table1_parity json_out =
-  let reference = Filename.concat (Filename.dirname json_out) "BENCH_pr9.json" in
-  if Sys.file_exists reference then begin
-    let is_t1 (k, _) = String.length k >= 7 && String.sub k 0 7 = "table1_" in
-    let prev = List.filter is_t1 (read_json_fields reference) in
-    let cur = List.filter is_t1 (read_json_fields json_out) in
-    if prev <> [] && cur <> [] then begin
-      let mismatches =
-        List.filter_map
-          (fun (k, v) ->
-            match List.assoc_opt k cur with
-            | Some v' when String.equal v v' -> None
-            | Some v' -> Some (Printf.sprintf "%s: %s -> %s" k v v')
-            | None -> Some (Printf.sprintf "%s: %s -> (missing)" k v))
-          prev
-      in
-      if mismatches = [] then
-        Format.printf "table-1 parity: %d retention figures bit-identical to %s@."
-          (List.length prev) reference
-      else begin
-        List.iter (Format.eprintf "table-1 drift: %s@.") mismatches;
-        Format.eprintf "table-1 retention moved relative to %s@." reference;
-        exit 1
-      end
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -549,7 +490,7 @@ let ablations () =
    the paper's worst case for marker work.  Both paths run over the very
    same collector instance, so words/objects per cycle must agree
    exactly; the JSON records the throughput ratio. *)
-let mark_throughput ~smoke ~jobs () =
+let mark_throughput ~smoke () =
   section "Mark throughput"
     "flat-descriptor fast path vs reference scan loop (program T heap, SPARC static)";
   let p = W.Platform.sparc_static ~optimized:false in
@@ -578,11 +519,11 @@ let mark_throughput ~smoke ~jobs () =
   let st = Cgc.Gc.stats gc in
   let time_cycles runner iters =
     let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Sys.time () in
+    let t0 = Cgc.Stats.now () in
     for _ = 1 to iters do
       runner gc
     done;
-    let dt = Float.max 1e-9 (Sys.time () -. t0) in
+    let dt = Float.max 1e-9 (Cgc.Stats.now () -. t0) in
     let words = st.Cgc.Stats.words_scanned - w0 in
     (float_of_int words /. dt, words / iters, (st.Cgc.Stats.objects_marked - m0) / iters, dt)
   in
@@ -593,9 +534,9 @@ let mark_throughput ~smoke ~jobs () =
   let calibrate runner =
     if smoke then 2
     else begin
-      let t0 = Sys.time () in
+      let t0 = Cgc.Stats.now () in
       runner gc;
-      let dt = Float.max 1e-6 (Sys.time () -. t0) in
+      let dt = Float.max 1e-6 (Cgc.Stats.now () -. t0) in
       max 3 (int_of_float (ceil (1.0 /. dt)))
     end
   in
@@ -633,75 +574,6 @@ let mark_throughput ~smoke ~jobs () =
   if not parity then begin
     Format.eprintf "mark throughput: fast path diverged from reference@.";
     exit 1
-  end;
-  (* --- parallel tracer sweep (--jobs) ------------------------------
-     The work-stealing tracer over the same live heap, measured in
-     wall-clock words/sec (domains overlap, so CPU time would double-
-     count; the serial figures above are single-threaded, where
-     Sys.time and wall clock agree).  Every width must visit exactly
-     the serial word/object counts — the bit-identity claim — and a
-     jobs > 1 run in this fault-free bench must really go parallel. *)
-  let sweep = List.sort_uniq compare (List.filter (fun j -> j >= 1 && j <= jobs) [ 1; 2; 4; jobs ]) in
-  let last_fallback = ref None in
-  let run_parallel j gc =
-    let o = Cgc.Gc.Internal.run_mark_parallel gc ~jobs:j in
-    last_fallback := o.Cgc.Mark.Parallel.fallback
-  in
-  let time_wall j iters =
-    let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      run_parallel j gc
-    done;
-    let dt = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-    let words = st.Cgc.Stats.words_scanned - w0 in
-    (float_of_int words /. dt, words / iters, (st.Cgc.Stats.objects_marked - m0) / iters)
-  in
-  let calibrate_wall j =
-    if smoke then 2
-    else begin
-      let t0 = Unix.gettimeofday () in
-      run_parallel j gc;
-      let dt = Float.max 1e-6 (Unix.gettimeofday () -. t0) in
-      max 3 (int_of_float (ceil (1.0 /. dt)))
-    end
-  in
-  Format.printf "@.  parallel tracer (host: %d cores recommended):@."
-    (Domain.recommended_domain_count ());
-  let results =
-    List.map
-      (fun j ->
-        let iters = calibrate_wall j in
-        let rate, words, marked = time_wall j iters in
-        let went_parallel = j <= 1 || !last_fallback = None in
-        Format.printf "  jobs=%d    : %11.0f words/s  (%d words, %d objects per cycle; %d cycles)%s@."
-          j rate words marked iters
-          (if went_parallel then ""
-           else
-             Printf.sprintf "  UNEXPECTED FALLBACK: %s"
-               (Cgc.Mark.Parallel.fallback_to_string (Option.get !last_fallback)));
-        json_float (Printf.sprintf "mark_jobs%d_words_per_sec" j) rate;
-        (j, rate, words, marked, went_parallel))
-      sweep
-  in
-  let jobs_parity =
-    List.for_all (fun (_, _, w, m, p) -> w = fast_words && m = fast_marked && p) results
-  in
-  json_int "mark_jobs_cores" (Domain.recommended_domain_count ());
-  json_bool "mark_jobs_parity" jobs_parity;
-  let rate_of j = List.find_map (fun (j', r, _, _, _) -> if j = j' then Some r else None) results in
-  (match (rate_of 1, rate_of 4) with
-  | Some r1, Some r4 ->
-      Format.printf "  jobs=4 speedup: %.2fx vs jobs=1, %.2fx vs reference scan loop@." (r4 /. r1)
-        (r4 /. ref_rate);
-      json_float "mark_jobs4_speedup" (r4 /. r1);
-      json_float "mark_jobs4_speedup_vs_reference" (r4 /. ref_rate)
-  | _ -> ());
-  Format.printf "  parity    : words and objects per cycle %s across jobs@."
-    (if jobs_parity then "identical" else "DIVERGED — parallel tracer is wrong");
-  if not jobs_parity then begin
-    Format.eprintf "mark throughput: parallel tracer diverged from the serial scanner@.";
-    exit 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -714,11 +586,11 @@ let mark_throughput ~smoke ~jobs () =
    access-fault counts, so a regression in graceful degradation (a rung
    no longer reached, a read fault no longer downgraded, or OOM raised
    where relaxation used to rescue) shows up as a diff. *)
-let resilience ~smoke ?collectors ?(mark_jobs = 1) () =
+let resilience ~smoke ?collectors () =
   section "Resilience"
     "randomized mutator under injected commit/read/write faults (cross-collector chaos matrix)";
   let steps = if smoke then 400 else 1500 in
-  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~mark_jobs ~seed () in
+  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~seed () in
   List.iter (Format.printf "  %a@.%!" W.Chaos.pp_outcome) outcomes;
   let dirty = List.filter (fun o -> not (W.Chaos.clean o)) outcomes in
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
@@ -729,10 +601,6 @@ let resilience ~smoke ?collectors ?(mark_jobs = 1) () =
     (sum (fun o -> o.W.Chaos.faults_injected))
     (sum (fun o -> o.W.Chaos.ooms_caught));
   json_int "resilience_steps_per_run" steps;
-  json_int "resilience_mark_jobs" mark_jobs;
-  json_int "resilience_mark_serial_fallbacks"
-    (sum_s (fun s -> s.Cgc.Stats.mark_serial_fallbacks));
-  json_int "resilience_parallel_marks" (sum_s (fun s -> s.Cgc.Stats.parallel_marks));
   json_int "resilience_runs" (List.length outcomes);
   json_int "resilience_clean_runs" (List.length outcomes - List.length dirty);
   json_int "resilience_faults_injected" (sum (fun o -> o.W.Chaos.faults_injected));
@@ -1005,14 +873,6 @@ let () =
     in
     find args
   in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: n :: _ -> (try max 1 (int_of_string n) with Failure _ -> 4)
-      | _ :: rest -> find rest
-      | [] -> 4
-    in
-    find args
-  in
   let collectors =
     let rec find = function
       | "--collector" :: "all" :: _ -> None
@@ -1036,7 +896,6 @@ let () =
     | "--seeds" :: _ :: rest -> strip rest
     | "--json-out" :: _ :: rest -> strip rest
     | "--collector" :: _ :: rest -> strip rest
-    | "--jobs" :: _ :: rest -> strip rest
     | a :: rest -> a :: strip rest
     | [] -> []
   in
@@ -1078,12 +937,9 @@ let () =
       | `Threads -> pcr_threads ()
       | `Ablations -> ablations ()
       | `Overhead -> overhead ()
-      | `Mark -> mark_throughput ~smoke ~jobs ()
-      | `Resilience -> resilience ~smoke ?collectors ~mark_jobs:jobs ()
+      | `Mark -> mark_throughput ~smoke ()
+      | `Resilience -> resilience ~smoke ?collectors ()
       | `Starvation -> starvation ()
       | `Timing -> timing ())
     selected;
-  if json then begin
-    json_write json_out;
-    check_table1_parity json_out
-  end
+  if json then json_write json_out

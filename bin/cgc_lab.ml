@@ -192,8 +192,8 @@ let frag_cmd =
 
 (* --- chaos --- *)
 
-let run_chaos seed steps collectors mark_jobs =
-  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~mark_jobs ~seed () in
+let run_chaos seed steps collectors =
+  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~seed () in
   List.iter (Format.printf "%a@.%!" W.Chaos.pp_outcome) outcomes;
   let dirty = List.filter (fun o -> not (W.Chaos.clean o)) outcomes in
   Format.printf "%d/%d scenario runs clean@.%!"
@@ -220,16 +220,6 @@ let chaos_cmd =
             "Restrict the matrix to one memory-management backend: $(b,conservative), \
              $(b,generational), $(b,explicit), or $(b,all) (the default).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Marker domains for the conservative tracer (default 1 = serial).  With N > 1 \
-             every cell also asserts the parallel-marking discipline: access-fault plans \
-             must take the typed serial fallback, commit plans must mark in parallel.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -237,7 +227,7 @@ let chaos_cmd =
           probability, byte quota, ECC read corruption, write refusal, permanent region \
           decay) across collector backends and configurations.  Audits crash coherence \
           after every injected fault and exits nonzero on any violation.")
-    Term.(const run_chaos $ seed_arg $ steps $ collector $ jobs)
+    Term.(const run_chaos $ seed_arg $ steps $ collector)
 
 (* --- analyze --- *)
 

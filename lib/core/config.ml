@@ -14,16 +14,12 @@ type t = {
   blacklist_refresh : bool;
   atomic_on_black_pages : bool;
   avoid_trailing_zeros : int option;
-  zero_on_alloc : bool;
   initial_pages : int;
-  min_expand_pages : int;
-  max_expand_pages : int;
   space_divisor : int;
   lazy_sweep : bool;
   mark_stack_limit : int option;
   full_gc_at_startup : bool;
   relax_blacklist : bool;
-  mark_jobs : int;
 }
 
 let default =
@@ -39,16 +35,12 @@ let default =
     blacklist_refresh = true;
     atomic_on_black_pages = true;
     avoid_trailing_zeros = None;
-    zero_on_alloc = true;
     initial_pages = 64;
-    min_expand_pages = 64;
-    max_expand_pages = 256;
     space_divisor = 3;
     lazy_sweep = false;
     mark_stack_limit = None;
     full_gc_at_startup = true;
     relax_blacklist = false;
-    mark_jobs = 1;
   }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -60,9 +52,6 @@ let validate t =
   if t.alignment <> 1 && t.alignment <> 2 && t.alignment <> 4 then
     invalid_arg "Config: alignment must be 1, 2 or 4";
   if t.initial_pages < 1 then invalid_arg "Config: initial_pages must be >= 1";
-  if t.min_expand_pages < 1 then invalid_arg "Config: min_expand_pages must be >= 1";
-  if t.max_expand_pages < t.min_expand_pages then
-    invalid_arg "Config: max_expand_pages must be >= min_expand_pages";
   if t.space_divisor < 1 then invalid_arg "Config: space_divisor must be >= 1";
   List.iter
     (fun d ->
@@ -76,11 +65,9 @@ let validate t =
   (match t.blacklist_buckets with
   | Some n when n < 1 -> invalid_arg "Config: blacklist_buckets must be >= 1"
   | Some _ | None -> ());
-  (match t.mark_stack_limit with
+  match t.mark_stack_limit with
   | Some n when n < 16 -> invalid_arg "Config: mark_stack_limit must be >= 16"
-  | Some _ | None -> ());
-  if t.mark_jobs < 1 || t.mark_jobs > 64 then
-    invalid_arg "Config: mark_jobs must be in [1,64]"
+  | Some _ | None -> ()
 
 let max_small_bytes t = t.page_size / 2
 
@@ -109,18 +96,20 @@ let[@inline] displacement_in_mask mask ~granule d =
   w < Array.length mask && mask.(w) land (1 lsl (i mod 62)) <> 0
 
 let pp ppf t =
+  let opt ~none = function
+    | None -> none
+    | Some n -> string_of_int n
+  in
   Format.fprintf ppf
     "@[<v>page_size=%d granule=%d interior=%b displacements=[%s] large=%s align=%d@,\
-     blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s zero=%b@,\
-     initial_pages=%d expand=%d..%d divisor=%d startup_gc=%b relax_blacklist=%b mark_jobs=%d@]"
+     blacklist=%b buckets=%s refresh=%b atomic_on_black=%b avoid_tz=%s@,\
+     initial_pages=%d divisor=%d lazy_sweep=%b mark_stack_limit=%s startup_gc=%b \
+     relax_blacklist=%b@]"
     t.page_size t.granule t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
     (match t.large_validity with
     | Anywhere -> "anywhere"
     | First_page_only -> "first-page")
-    t.alignment t.blacklisting t.blacklist_refresh t.atomic_on_black_pages
-    (match t.avoid_trailing_zeros with
-    | None -> "off"
-    | Some k -> string_of_int k)
-    t.zero_on_alloc t.initial_pages t.min_expand_pages t.max_expand_pages t.space_divisor
-    t.full_gc_at_startup t.relax_blacklist t.mark_jobs
+    t.alignment t.blacklisting (opt ~none:"exact" t.blacklist_buckets) t.blacklist_refresh
+    t.atomic_on_black_pages (opt ~none:"off" t.avoid_trailing_zeros) t.initial_pages t.space_divisor
+    t.lazy_sweep (opt ~none:"unbounded" t.mark_stack_limit) t.full_gc_at_startup t.relax_blacklist

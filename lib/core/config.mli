@@ -54,16 +54,7 @@ type t = {
   avoid_trailing_zeros : int option;
       (** [Some k]: never place an object at an address with [>= k]
           trailing zero bits (counters the figure-1 halfword hazard) *)
-  zero_on_alloc : bool;
-      (** clear objects on allocation so reused memory cannot leak stale
-          pointers into the scan *)
   initial_pages : int;  (** pages committed up front *)
-  min_expand_pages : int;  (** heap expansion increment *)
-  max_expand_pages : int;
-      (** starting increment for the allocation ladder's grow rung: when
-          memory pressure defeats a [max_expand_pages]-sized expansion,
-          the ladder backs off by halving down to [min_expand_pages]
-          before giving up (capped-backoff expansion sizing) *)
   space_divisor : int;
       (** collect when bytes allocated since the last collection exceed
           committed-heap-bytes / [space_divisor]; smaller keeps the heap
@@ -93,26 +84,16 @@ type t = {
           experiments keep the paper's strict regime — relaxation trades
           the blacklist's space guarantee for availability, Boehm's
           pragmatic answer to observation 7 *)
-  mark_jobs : int;
-      (** marker domains for the trace phase.  [1] (the default) runs
-          the serial fast path untouched; [n > 1] runs
-          {!Mark.Parallel} with [n] domains — a private Chase-Lev mark
-          stack and header cache per domain, atomic shadow mark bits,
-          per-domain blacklist buffers merged at the end barrier.  The
-          resulting mark bitmap, blacklist and downgrade behavior are
-          bit-identical to the serial marker.  While a [Mem.Fault]
-          access plan is armed the collector falls back to serial
-          marking (fault trip streams are stateful and cannot be raced)
-          and records a typed note in [Gc.last_mark_outcome]. *)
 }
 
 val default : t
 (** 4 KB pages, 4-byte granules, interior pointers on ([Anywhere]),
-    aligned scanning, blacklisting on with refresh, atomic-on-black on,
-    no trailing-zero avoidance, zeroing on, 64 initial pages, expansion
-    increment 64 pages (backoff cap 256), space divisor 3, startup
-    collection on, blacklist relaxation off, serial marking
-    ([mark_jobs = 1]). *)
+    aligned scanning, blacklisting on with refresh (exact bit array),
+    atomic-on-black on, no trailing-zero avoidance, 64 initial pages,
+    space divisor 3, eager sweep, unbounded mark stack, startup
+    collection on, blacklist relaxation off.  Every allocation is
+    cleared, as [GC_malloc]'s are, and the grow rung commits up to 256
+    pages at a time (see {!Gc}). *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings. *)

@@ -25,12 +25,6 @@ type t = {
          view) substitutes its exact collection without the wrapped
          heap ever being marked conservatively behind its back *)
   mutable oom_hook : (int -> bool) option;
-  mutable last_mark_outcome : Mark.Parallel.outcome option;
-      (* how the most recent mark phase ran when [Config.mark_jobs > 1]:
-         parallel, or serial with a typed fallback note (armed access
-         plan).  [None] until the first such phase — and always [None]
-         with the default [mark_jobs = 1], whose serial path is
-         untouched *)
 }
 
 (* --- the allocation escalation ladder --- *)
@@ -131,7 +125,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       auto_collect = true;
       collect_hook = None;
       oom_hook = None;
-      last_mark_outcome = None;
     }
   in
   t
@@ -162,19 +155,6 @@ let clear_roots t = Roots.clear t.roots
 
 let quarantined t i = Bitset.mem t.decayed_pages i
 
-let last_mark_outcome t = t.last_mark_outcome
-
-(* The mark phase, honouring [Config.mark_jobs]: 1 keeps the serial
-   fast path byte-for-byte (no outcome recorded); > 1 runs the parallel
-   tracer, which itself falls back to serial — with a typed note —
-   while a [Mem.Fault] access plan is armed. *)
-let run_mark_phase t =
-  let jobs = t.config.Config.mark_jobs in
-  if jobs <= 1 then Mark.run t.marker t.roots ~mem:t.mem
-  else
-    t.last_mark_outcome <-
-      Some (Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs)
-
 (* Lazy mode: sweep every page still awaiting its sweep. *)
 let drain_pending_sweeps t =
   let freed = ref 0 in
@@ -192,7 +172,7 @@ let collect t =
   if t.config.Config.lazy_sweep then begin
     (* leftovers from the previous cycle must go before marks are reset *)
     let (_ : int) = drain_pending_sweeps t in
-    run_mark_phase t;
+    Mark.run t.marker t.roots ~mem:t.mem;
     let t1 = Stats.now () in
     Heap.iter_committed t.heap (fun i p ->
         match p with
@@ -202,7 +182,7 @@ let collect t =
     t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t1 -. t0)
   end
   else begin
-    run_mark_phase t;
+    Mark.run t.marker t.roots ~mem:t.mem;
     let t1 = Stats.now () in
     let (_ : Sweep.result) =
       Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
@@ -323,9 +303,12 @@ let try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault =
       carve_small_page t i ~granules ~pointer_free;
       true
 
+(* Pages the grow rung asks for first. *)
+let expand_pages = 256
+
 (* Ladder rung: grow the committed heap by a batch of pages, halving the
    batch each time the (simulated) OS refuses a commit — capped backoff
-   from [max_expand_pages] down to the least that could serve the
+   from [expand_pages] down to the least that could serve the
    request.  Partial progress is kept: a fault mid-batch leaves the
    already-committed prefix as [Free] pages. *)
 let grow_with_backoff t ~need_pages ~note_fault =
@@ -349,7 +332,7 @@ let grow_with_backoff t ~need_pages ~note_fault =
           end
     end
   in
-  attempt (max need_pages t.config.Config.max_expand_pages)
+  attempt (max need_pages expand_pages)
 
 (* Drive one request up the escalation ladder.  [attempt ~tier ~note_fault]
    makes one complete placement attempt at the given blacklist
@@ -702,38 +685,33 @@ let allocate ?(pointer_free = false) ?finalizer t bytes =
     if small then allocate_small t ~granules:(Size_class.granules_for t.sizes bytes) ~pointer_free
     else allocate_large t ~bytes ~pointer_free
   in
-  (* Zeroing the new object is where a write-fault plan bites the
-     allocator.  A transient refusal is retried in place; memory that
+  (* Every object is cleared, as [GC_malloc]'s are, so reused memory
+     cannot leak stale pointers into the scan.  Zeroing is also where a
+     write-fault plan bites the allocator.  A transient refusal is retried in place; memory that
      decayed (or keeps refusing) quarantines the object's page(s) and
      sends the request back up the ladder, which now excludes them.  A
      ladder that then runs dry reports a [memory_decayed] diagnosis. *)
-  let base =
-    if not t.config.Config.zero_on_alloc then alloc_once ()
+  let rec obtain () =
+    let base = alloc_once () in
+    let rec zero transient_left =
+      match zero_object t base rounded with
+      | () -> true
+      | exception Mem.Write_fault _ ->
+          t.stats.Stats.write_faults <- t.stats.Stats.write_faults + 1;
+          if Mem.range_decayed t.mem base ~bytes:rounded then false
+          else if transient_left > 0 then zero (transient_left - 1)
+          else false
+    in
+    if zero 2 then base
     else begin
-      let rec obtain () =
-        let base = alloc_once () in
-        let rec zero transient_left =
-          match zero_object t base rounded with
-          | () -> true
-          | exception Mem.Write_fault _ ->
-              t.stats.Stats.write_faults <- t.stats.Stats.write_faults + 1;
-              if Mem.range_decayed t.mem base ~bytes:rounded then false
-              else if transient_left > 0 then zero (transient_left - 1)
-              else false
-        in
-        if zero 2 then base
-        else begin
-          t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
-          quarantine_object t base;
-          match obtain () with
-          | b -> b
-          | exception Out_of_memory d ->
-              raise (Out_of_memory { d with memory_decayed = true })
-        end
-      in
-      obtain ()
+      t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
+      quarantine_object t base;
+      match obtain () with
+      | b -> b
+      | exception Out_of_memory d -> raise (Out_of_memory { d with memory_decayed = true })
     end
   in
+  let base = obtain () in
   t.stats.Stats.bytes_allocated <- t.stats.Stats.bytes_allocated + rounded;
   t.stats.Stats.objects_allocated <- t.stats.Stats.objects_allocated + 1;
   t.allocated_since_gc <- t.allocated_since_gc + rounded;
@@ -807,10 +785,7 @@ module Internal = struct
   let note_collected t = t.allocated_since_gc <- 0
   let run_mark_reference t = Mark.Reference.run t.marker t.roots ~mem:t.mem
 
-  let run_mark_parallel t ~jobs =
-    let outcome = Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs in
-    t.last_mark_outcome <- Some outcome;
-    outcome
+  let run_mark_parallel t ~jobs = Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs
 
   let is_marked t addr =
     match find_object t addr with

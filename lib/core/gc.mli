@@ -182,12 +182,6 @@ val blacklisted_pages : t -> int
 val live_bytes : t -> int
 (** From the statistics of the most recent sweep. *)
 
-val last_mark_outcome : t -> Mark.Parallel.outcome option
-(** How the most recent mark phase ran when [Config.mark_jobs > 1]:
-    parallel ([fallback = None]) or serial with a typed note (an armed
-    [Mem.Fault] access plan forces serial marking).  Always [None] with
-    the default [mark_jobs = 1]. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Internals}
@@ -230,9 +224,10 @@ module Internal : sig
   val run_mark_parallel : t -> jobs:int -> Mark.Parallel.outcome
   (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker
       domains (serial for [jobs <= 1] or under an armed access plan,
-      with the typed note in the outcome).  Records the outcome in
-      {!last_mark_outcome}.  Used by the jobs differential and the
-      [bench mark --jobs] sweep. *)
+      with the typed note in the outcome).  The collector itself always
+      marks serially; this is the only way to reach the parallel
+      tracer.  Used by the jobs differential and the layered
+      benchmark's [jobs2_speedup] probe. *)
 
   val is_marked : t -> Addr.t -> bool
   (** Valid only between [run_mark] and the next sweep. *)

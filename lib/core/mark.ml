@@ -593,10 +593,6 @@ module Parallel = struct
     | Serial_configured
     | Access_plan_armed
 
-  let fallback_to_string = function
-    | Serial_configured -> "serial-configured"
-    | Access_plan_armed -> "access-plan-armed"
-
   type outcome = {
     jobs_requested : int;
     domains_used : int;
@@ -1120,7 +1116,6 @@ module Parallel = struct
         Stats.merge_marking ~into:t.stats w.w_stats;
         if t.blacklisting then Blacklist.merge_noted t.blacklist w.w_black ~notes:w.w_black_notes)
       workers;
-    t.stats.Stats.parallel_marks <- t.stats.Stats.parallel_marks + 1;
     shards
 
   let run t roots ~mem ~jobs =
@@ -1129,11 +1124,9 @@ module Parallel = struct
       { jobs_requested = jobs; domains_used = 1; fallback = Some fallback; shards = [||] }
     in
     if jobs <= 1 then serial Serial_configured
-    else if Mem.access_faults_armed mem then begin
+    else if Mem.access_faults_armed mem then
       (* trip streams are stateful: serialize faultable loads *)
-      t.stats.Stats.mark_serial_fallbacks <- t.stats.Stats.mark_serial_fallbacks + 1;
       serial Access_plan_armed
-    end
     else
       let shards = run_domains t roots ~mem ~jobs in
       { jobs_requested = jobs; domains_used = jobs; fallback = None; shards }

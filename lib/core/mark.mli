@@ -74,7 +74,9 @@ end
 
     The result — mark bitmap, blacklist, downgrade behavior — is
     bit-identical to the serial marker for any [jobs], pinned by the
-    [test_mark_diff] QCheck differential. *)
+    [test_mark_diff] QCheck differential.  It has never run faster
+    than the serial marker, so the collector never selects it: it is
+    reachable only through [Gc.Internal.run_mark_parallel]. *)
 module Parallel : sig
   type fallback =
     | Serial_configured  (** [jobs <= 1]: the serial fast path, by design *)
@@ -82,8 +84,6 @@ module Parallel : sig
         (** a [Mem.Fault] access plan is armed; its trip streams are
             stateful (countdowns, seeded draws) and cannot be raced
             across domains, so the serial marker ran instead *)
-
-  val fallback_to_string : fallback -> string
 
   type outcome = {
     jobs_requested : int;

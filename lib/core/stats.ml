@@ -30,8 +30,6 @@ type t = {
   mutable pages_decayed : int;
   mutable decay_retries : int;
   mutable oom_raised : int;
-  mutable parallel_marks : int;
-  mutable mark_serial_fallbacks : int;
   mutable precise_collections : int;
   mutable precise_mark_aborts : int;
   mutable precise_mark_retries : int;
@@ -74,8 +72,6 @@ let create () =
     pages_decayed = 0;
     decay_retries = 0;
     oom_raised = 0;
-    parallel_marks = 0;
-    mark_serial_fallbacks = 0;
     precise_collections = 0;
     precise_mark_aborts = 0;
     precise_mark_retries = 0;
@@ -86,8 +82,7 @@ let create () =
   }
 
 (* Phase times come from a monotonic wall clock: [Sys.time] is process
-   CPU time, which sums every marker domain's CPU under parallel
-   marking. *)
+   CPU time, which also counts every other running domain. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let copy t = { t with collections = t.collections }
@@ -128,8 +123,6 @@ let blit src ~into =
   into.pages_decayed <- src.pages_decayed;
   into.decay_retries <- src.decay_retries;
   into.oom_raised <- src.oom_raised;
-  into.parallel_marks <- src.parallel_marks;
-  into.mark_serial_fallbacks <- src.mark_serial_fallbacks;
   into.precise_collections <- src.precise_collections;
   into.precise_mark_aborts <- src.precise_mark_aborts;
   into.precise_mark_retries <- src.precise_mark_retries;
@@ -183,7 +176,6 @@ let pp ppf t =
      faults          %d commit faults, %d OOM raised@,\
      access faults   %d reads (%d mark downgrades), %d writes@,\
      decay           %d pages quarantined, %d alloc retries@,\
-     parallel mark   %d runs, %d serial fallbacks@,\
      precise         %d collects, %d mark aborts, %d retries, %d stale roots@,\
      gc time         %.6fs (mark %.6fs, sweep %.6fs)@]"
     t.collections t.words_scanned t.valid_refs t.false_refs t.objects_marked t.header_cache_hits
@@ -195,6 +187,5 @@ let pp ppf t =
     t.commit_faults t.oom_raised
     t.read_faults t.mark_downgrades t.write_faults
     t.pages_decayed t.decay_retries
-    t.parallel_marks t.mark_serial_fallbacks
     t.precise_collections t.precise_mark_aborts t.precise_mark_retries t.precise_stale_roots
     t.total_gc_seconds t.mark_seconds t.sweep_seconds

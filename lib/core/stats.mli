@@ -50,11 +50,6 @@ type t = {
       (** allocations retried after the returned slot's memory decayed
           (or its page was quarantined) under the allocator *)
   mutable oom_raised : int;  (** structured [Out_of_memory] raises after the ladder ran dry *)
-  mutable parallel_marks : int;  (** trace phases run by {!Mark.Parallel} with > 1 domain *)
-  mutable mark_serial_fallbacks : int;
-      (** parallel-mark requests served by the serial marker because a
-          [Mem.Fault] access plan was armed (trip streams are stateful
-          and cannot be raced across domains) *)
   mutable precise_collections : int;
       (** exact (type-accurate) collections completed by {!Precise.collect} *)
   mutable precise_mark_aborts : int;
@@ -74,8 +69,8 @@ type t = {
 val now : unit -> float
 (** Monotonic wall-clock time in seconds, the timebase of
     [mark_seconds], [sweep_seconds] and [total_gc_seconds].  Not
-    [Sys.time]: process CPU time would add up every marker domain's CPU
-    when [Config.mark_jobs > 1]. *)
+    [Sys.time]: process CPU time would also count the CPU of every other
+    running domain. *)
 
 val create : unit -> t
 val reset : t -> unit

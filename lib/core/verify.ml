@@ -232,9 +232,9 @@ let check_after_fault gc =
     (Gc.Internal.decayed_pages gc);
   List.rev !issues
 
-(* Post-parallel-mark audit, valid between a mark phase run with
-   [Config.mark_jobs > 1] (or [Gc.Internal.run_mark_parallel]) and the
-   next sweep or allocation:
+(* Post-parallel-mark audit of the outcome [o] that
+   [Gc.Internal.run_mark_parallel] returned, valid until the next sweep
+   or allocation:
 
    - structural mark sanity — every mark bit covers an allocated slot
      (so no bit landed on a free or quarantine-removed slot; decayed
@@ -248,35 +248,32 @@ let check_after_fault gc =
      bits actually present in the heap: the exactly-once guarantee of
      the shadow-table CAS protocol, and evidence the serial write-back
      lost nothing. *)
-let check_parallel_mark gc =
-  match Gc.last_mark_outcome gc with
-  | None -> []
-  | Some o ->
-      let issues = ref (List.rev (check_heap (Gc.heap gc))) in
-      let heap = Gc.heap gc in
-      let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-      let marked = ref 0 in
-      Heap.iter_committed heap (fun i p ->
-          match p with
-          | Page.Small s -> marked := !marked + Bitset.count s.Page.mark
-          | Page.Large_head l ->
-              if l.Page.l_marked then begin
-                if not l.Page.l_allocated then
-                  add "parallel mark flagged the unallocated large object at %d" i;
-                incr marked
-              end
-          | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
-      (match o.Mark.Parallel.fallback with
-      | Some _ -> () (* serial fallback: no shards to audit *)
-      | None ->
-          let sum =
-            Array.fold_left
-              (fun acc s -> acc + s.Stats.objects_marked)
-              0 o.Mark.Parallel.shards
-          in
-          if sum <> !marked then
-            add "parallel-mark shards claim %d marked objects, the heap holds %d" sum !marked);
-      List.rev !issues
+let check_parallel_mark gc o =
+  let issues = ref (List.rev (check_heap (Gc.heap gc))) in
+  let heap = Gc.heap gc in
+  let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
+  let marked = ref 0 in
+  Heap.iter_committed heap (fun i p ->
+      match p with
+      | Page.Small s -> marked := !marked + Bitset.count s.Page.mark
+      | Page.Large_head l ->
+          if l.Page.l_marked then begin
+            if not l.Page.l_allocated then
+              add "parallel mark flagged the unallocated large object at %d" i;
+            incr marked
+          end
+      | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
+  (match o.Mark.Parallel.fallback with
+  | Some _ -> () (* serial fallback: no shards to audit *)
+  | None ->
+      let sum =
+        Array.fold_left
+          (fun acc s -> acc + s.Stats.objects_marked)
+          0 o.Mark.Parallel.shards
+      in
+      if sum <> !marked then
+        add "parallel-mark shards claim %d marked objects, the heap holds %d" sum !marked);
+  List.rev !issues
 
 (* --- precise (type-accurate) mark audit --- *)
 

@@ -30,13 +30,6 @@ let plan_name = function
   | Write_chance { probability; seed = _ } -> Printf.sprintf "write-chance-%.4f" probability
   | Write_decay { every; region } -> Printf.sprintf "write-decay-%d/%dB" every region
 
-(* Plans that fault loads or stores: under these the parallel tracer
-   must take its typed serial fallback (faultable loads stay serialized
-   so access plans observe a deterministic probe order). *)
-let is_access_plan = function
-  | Read_chance _ | Read_decay _ | Write_chance _ | Write_decay _ -> true
-  | Countdown _ | Chance _ | Quota _ -> false
-
 let instantiate = function
   | Countdown { every } -> Mem.Fault.plan ~countdown:every ~rearm:true ()
   | Chance { probability; seed } -> Mem.Fault.plan ~probability:(probability, seed) ()
@@ -55,8 +48,6 @@ type outcome = {
   scenario : string;
   plan : string;
   steps : int;
-  mark_jobs : int;
-  last_fallback : string option;
   faults_injected : int;
   ooms_caught : int;
   mutator_read_faults : int;
@@ -95,7 +86,6 @@ type ops = {
   audit_final : unit -> string list;
   snapshot : unit -> Cgc.Stats.t;
   overrides : unit -> int;
-  last_fallback : unit -> string option;
 }
 
 (* The mutator world: a globals segment of root slots plus the chosen
@@ -140,14 +130,6 @@ let make_world ~seed ~config ~collector =
       audit_final = (fun () -> Verify.check gc);
       snapshot = (fun () -> Cgc.Stats.copy (Gc.stats gc));
       overrides = (fun () -> Cgc.Blacklist.overridden (Gc.blacklist gc));
-      last_fallback =
-        (fun () ->
-          match Gc.last_mark_outcome gc with
-          | None -> None
-          | Some o -> (
-              match o.Cgc.Mark.Parallel.fallback with
-              | None -> Some "parallel"
-              | Some f -> Some (Cgc.Mark.Parallel.fallback_to_string f)));
     }
   in
   let ops, precise =
@@ -220,7 +202,6 @@ let make_world ~seed ~config ~collector =
           audit_final = (fun () -> Verify.check_heap (Cgc.Explicit.heap e));
           snapshot = (fun () -> Cgc.Stats.create ());
           overrides = (fun () -> 0);
-          last_fallback = (fun () -> None);
           },
           None )
   in
@@ -292,9 +273,7 @@ let fault_free_alloc_ok w =
   Mem.set_fault_plan w.mem saved;
   ok
 
-let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1) ~seed ~scenario
-    ~config ~plan () =
-  let config = { config with Cgc.Config.mark_jobs } in
+let run_scenario ?(steps = 1500) ?(collector = Conservative) ~seed ~scenario ~config ~plan () =
   let w = make_world ~seed ~config ~collector in
   (* Precise cells replay a typed trace through the differential session
      (exact view under faults vs a pristine conservative twin); the
@@ -349,20 +328,6 @@ let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1) ~s
   let recovered = fault_free_alloc_ok w in
   let final_issues = w.ops.audit_final () in
   let stats = w.ops.snapshot () in
-  (* Parallel-marking discipline, checked on the collector that owns the
-     tracer.  Under an armed access plan every mark phase must have taken
-     the typed serial fallback; under commit-only plans (loads and stores
-     never fault) the tracer must really have run parallel. *)
-  let final_issues =
-    if collector <> Conservative || mark_jobs <= 1 || stats.Cgc.Stats.collections = 0 then
-      final_issues
-    else if is_access_plan plan && stats.Cgc.Stats.mark_serial_fallbacks = 0 then
-      "parallel marking under an armed access plan never took the typed serial fallback"
-      :: final_issues
-    else if (not (is_access_plan plan)) && stats.Cgc.Stats.parallel_marks = 0 then
-      "commit-fault plan with mark_jobs > 1 never ran a parallel mark phase" :: final_issues
-    else final_issues
-  in
   (* Typed-differential discipline (precise cells): the pointwise
      invariant — exact retention never exceeds the conservative twin's
      on the same trace — must have held at every completed exact
@@ -386,8 +351,6 @@ let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1) ~s
     scenario;
     plan = plan_name plan;
     steps;
-    mark_jobs;
-    last_fallback = w.ops.last_fallback ();
     faults_injected = Mem.faults_injected w.mem;
     ooms_caught = !ooms;
     mutator_read_faults = !mut_reads;
@@ -439,14 +402,14 @@ let scenarios_for = function
         ("bounded-stack", { base_config with Cgc.Config.mark_stack_limit = Some 32 });
       ]
 
-let run_matrix ?(steps = 1500) ?(collectors = all_collectors) ?(mark_jobs = 1) ~seed () =
+let run_matrix ?(steps = 1500) ?(collectors = all_collectors) ~seed () =
   List.concat_map
     (fun collector ->
       List.concat_map
         (fun (scenario, config) ->
           List.map
             (fun plan ->
-              run_scenario ~steps ~collector ~mark_jobs ~seed ~scenario ~config ~plan ())
+              run_scenario ~steps ~collector ~seed ~scenario ~config ~plan ())
             (default_plans ~seed @ access_plans ~seed))
         (scenarios_for collector))
     collectors
@@ -454,13 +417,13 @@ let run_matrix ?(steps = 1500) ?(collectors = all_collectors) ?(mark_jobs = 1) ~
 let pp_outcome ppf o =
   let s = o.stats in
   Format.fprintf ppf
-    "@[<v>%-12s %-16s x %-18s: %d steps (jobs %d), %d faults injected, %d OOM caught -> %s@,\
+    "@[<v>%-12s %-16s x %-18s: %d steps, %d faults injected, %d OOM caught -> %s@,\
     \  ladder: %d collects, %d drains, %d trims, %d grows (%d backoffs), %d relax-fp, %d \
      relax-black, %d hooks; %d overrides; %d commit faults, %d raised@,\
     \  access: %d reads (%d mark downgrades) / %d writes faulted; %d mutator reads, %d mutator \
      writes; %d pages decayed, %d alloc retries@]"
     o.collector o.scenario o.plan
-    o.steps o.mark_jobs o.faults_injected o.ooms_caught
+    o.steps o.faults_injected o.ooms_caught
     (if clean o then "clean" else "VIOLATIONS")
     s.Cgc.Stats.ladder_collects s.Cgc.Stats.ladder_drains s.Cgc.Stats.ladder_trims
     s.Cgc.Stats.ladder_expansions s.Cgc.Stats.ladder_backoffs s.Cgc.Stats.ladder_relax_first_page
@@ -468,10 +431,6 @@ let pp_outcome ppf o =
     s.Cgc.Stats.commit_faults s.Cgc.Stats.oom_raised s.Cgc.Stats.read_faults
     s.Cgc.Stats.mark_downgrades s.Cgc.Stats.write_faults o.mutator_read_faults
     o.mutator_write_faults s.Cgc.Stats.pages_decayed s.Cgc.Stats.decay_retries;
-  if o.mark_jobs > 1 && o.collector = "conservative" then
-    Format.fprintf ppf "@,  marking: %d parallel, %d serial fallback (last: %s)"
-      s.Cgc.Stats.parallel_marks s.Cgc.Stats.mark_serial_fallbacks
-      (match o.last_fallback with None -> "none" | Some c -> c);
   if o.collector = "precise" then
     Format.fprintf ppf "@,  precise: %d exact collects, %d mark aborts, %d retries, %d stale roots%s"
       s.Cgc.Stats.precise_collections s.Cgc.Stats.precise_mark_aborts

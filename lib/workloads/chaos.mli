@@ -48,11 +48,6 @@ type plan_spec =
 
 val plan_name : plan_spec -> string
 
-val is_access_plan : plan_spec -> bool
-(** Whether the plan faults loads or stores (as opposed to commits):
-    under such a plan a [mark_jobs > 1] run must take the tracer's typed
-    serial fallback. *)
-
 val instantiate : plan_spec -> Cgc_vm.Mem.Fault.plan
 
 type outcome = {
@@ -60,10 +55,6 @@ type outcome = {
   scenario : string;
   plan : string;
   steps : int;
-  mark_jobs : int;  (** marker domains requested of the conservative tracer *)
-  last_fallback : string option;
-      (** how the run's final mark phase ran ("parallel" or the typed
-          fallback cause); [None] when no parallel phase was requested *)
   faults_injected : int;
   ooms_caught : int;  (** [Out_of_memory] surfacing to the mutator — expected under pressure *)
   mutator_read_faults : int;
@@ -95,20 +86,13 @@ val clean : outcome -> bool
 val run_scenario :
   ?steps:int ->
   ?collector:collector ->
-  ?mark_jobs:int ->
   seed:int ->
   scenario:string ->
   config:Cgc.Config.t ->
   plan:plan_spec ->
   unit ->
   outcome
-(** Default collector: {!Conservative} (backward compatible).
-    [mark_jobs] (default 1) overrides [Config.mark_jobs] so the same
-    matrix can run under the parallel tracer; with [mark_jobs > 1] the
-    run additionally asserts the marking discipline — access plans must
-    show the typed serial fallback, commit plans must really have marked
-    in parallel — and any violation lands in [final_issues], so {!clean}
-    catches it. *)
+(** Default collector: {!Conservative} (backward compatible). *)
 
 val base_config : Cgc.Config.t
 (** {!Cgc.Config.default} on a small committed footprint (8 initial
@@ -129,7 +113,6 @@ val access_plans : seed:int -> plan_spec list
 val run_matrix :
   ?steps:int ->
   ?collectors:collector list ->
-  ?mark_jobs:int ->
   seed:int ->
   unit ->
   outcome list
@@ -138,7 +121,6 @@ val run_matrix :
     collector runs all {!default_scenarios}; the generational and
     explicit backends run the eager base configuration; the precise
     backend runs the eager and bounded-mark-stack configurations (the
-    exact marker's two interesting axes).  [mark_jobs] (default 1) is
-    forwarded to every cell. *)
+    exact marker's two interesting axes). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -176,8 +176,6 @@ let test_config_validation () =
   reject "zero divisor" { Config.default with Config.space_divisor = 0 };
   reject "tiny mark stack" { Config.default with Config.mark_stack_limit = Some 4 };
   reject "zero buckets" { Config.default with Config.blacklist_buckets = Some 0 };
-  reject "zero mark jobs" { Config.default with Config.mark_jobs = 0 };
-  Config.validate { Config.default with Config.mark_jobs = 4 };
   Config.validate Config.default
 
 let test_pp_smoke () =
@@ -187,6 +185,24 @@ let test_pp_smoke () =
   Gc.collect gc;
   let non_empty s = String.length s > 0 in
   check bool "config pp" true (non_empty (Format.asprintf "%a" Config.pp Config.default));
+  (* non-default buckets, lazy sweep and mark-stack limit are shown *)
+  let printed =
+    Format.asprintf "%a" Config.pp
+      {
+        Config.default with
+        Config.blacklist_buckets = Some 1024;
+        lazy_sweep = true;
+        mark_stack_limit = Some 32;
+      }
+  in
+  let mentions needle =
+    let n = String.length needle and h = String.length printed in
+    let rec at i = i + n <= h && (String.sub printed i n = needle || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun needle -> check bool ("config pp shows " ^ needle) true (mentions needle))
+    [ "buckets=1024"; "lazy_sweep=true"; "mark_stack_limit=32" ];
   check bool "stats pp" true (non_empty (Format.asprintf "%a" Stats.pp (Gc.stats gc)));
   check bool "gc pp" true (non_empty (Format.asprintf "%a" Gc.pp gc));
   check bool "heap pp" true (non_empty (Format.asprintf "%a" Heap.pp (Gc.heap gc)));
@@ -1055,13 +1071,13 @@ let test_stats_counters () =
   check bool "words were scanned" true (s.Stats.words_scanned > 0);
   check bool "a valid ref was seen" true (s.Stats.valid_refs >= 1)
 
-(* Phase times are wall-clock: with two marker domains, process CPU time
-   would count both domains' CPU and could exceed the wall time of the
-   collection itself.  The bracket uses the same clock and the same
-   ns-to-seconds rounding as [Stats.now], so the bound holds exactly. *)
+(* Phase times are wall-clock.  A second domain spins for the whole
+   collection, so process CPU time ([Sys.time]) would count two CPUs and
+   overshoot the wall time of the collection itself.  The bracket uses
+   the same clock and the same ns-to-seconds rounding as [Stats.now], so
+   the bound holds exactly. *)
 let test_phase_clock_is_wall_time () =
-  let config = { Config.default with Config.mark_jobs = 2 } in
-  let _, globals, gc = make_env ~config ~heap_kb:4096 () in
+  let _, globals, gc = make_env ~heap_kb:4096 () in
   for i = 0 to 63 do
     let head = Gc.allocate gc 16 in
     let prev = ref (Addr.to_int head) in
@@ -1074,11 +1090,29 @@ let test_phase_clock_is_wall_time () =
   done;
   let s = Gc.stats gc in
   Stats.reset s;
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
   let secs ns = Int64.to_float ns *. 1e-9 in
-  let b0 = Monotonic_clock.now () in
-  Gc.collect gc;
-  let b1 = Monotonic_clock.now () in
-  check bool "the collection marked in parallel" true (s.Stats.parallel_marks = 1);
+  let b0, b1 =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let b0 = Monotonic_clock.now () in
+        Gc.collect gc;
+        (b0, Monotonic_clock.now ()))
+  in
+  check int "one collection" 1 s.Stats.collections;
   check bool "total_gc_seconds <= bracketing wall time" true
     (s.Stats.total_gc_seconds <= secs b1 -. secs b0)
 
@@ -1289,7 +1323,7 @@ let () =
             test_stats_merge_marking_empty_shard;
           Alcotest.test_case "merge_marking: transfer + double-merge idempotence" `Quick
             test_stats_merge_marking_double_merge;
-          Alcotest.test_case "phase clock is wall time at mark_jobs 2" `Quick
+          Alcotest.test_case "phase clock is wall time beside a spinning domain" `Quick
             test_phase_clock_is_wall_time;
         ] );
       ( "generational-accounting",

@@ -243,7 +243,7 @@ let prop_parallel_matches_serial =
           let st1 = mark_state gc_par in
           let o2 = Gc.Internal.run_mark_parallel gc_par ~jobs in
           let st2 = mark_state gc_par in
-          let audit = Cgc.Verify.check_parallel_mark gc_par in
+          let audit = Cgc.Verify.check_parallel_mark gc_par o2 in
           let note_ok =
             if jobs = 1 then
               o1.Cgc.Mark.Parallel.fallback = Some Cgc.Mark.Parallel.Serial_configured
@@ -268,8 +268,46 @@ let prop_parallel_matches_serial =
           agree st1 ser1 && agree st2 ser2 && audit = [] && note_ok && shards_ok)
         [ 1; 2; 4; 8 ])
 
+(* Under an armed [Mem.Fault] access plan the parallel tracer must not
+   race the plan's trip stream: [run_mark_parallel ~jobs:2] takes the
+   typed [Access_plan_armed] fallback and marks exactly as the serial
+   marker does on a twin heap armed with an identical plan — same
+   marks, same blacklist, same downgraded words. *)
+let test_access_plan_fallback () =
+  let arm gc =
+    Mem.set_fault_plan (Gc.mem gc)
+      (Some (Mem.Fault.plan ~probability:(0.05, 7) ~target:Mem.Fault.Reads ()))
+  in
+  let scenarios = QCheck.Gen.generate ~rand:(Random.State.make [| 1993 |]) ~n:40 scenario_gen in
+  let faults =
+    List.fold_left
+      (fun faults s ->
+        let gc_par = build s and gc_ser = build s in
+        arm gc_par;
+        arm gc_ser;
+        let o = Gc.Internal.run_mark_parallel gc_par ~jobs:2 in
+        Gc.Internal.run_mark gc_ser;
+        Alcotest.(check bool)
+          "typed fallback" true
+          (o.Cgc.Mark.Parallel.fallback = Some Cgc.Mark.Parallel.Access_plan_armed
+          && o.Cgc.Mark.Parallel.domains_used = 1);
+        Alcotest.(check bool)
+          ("marks and blacklist bit-identical to serial: " ^ scenario_print s)
+          true
+          (mark_state gc_par = mark_state gc_ser);
+        Alcotest.(check int)
+          "same faults tripped"
+          (Mem.faults_injected (Gc.mem gc_ser))
+          (Mem.faults_injected (Gc.mem gc_par));
+        faults + Mem.faults_injected (Gc.mem gc_par))
+      0 scenarios
+  in
+  Alcotest.(check bool) "the plan tripped during marking" true (faults > 0)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  Alcotest.test_case "access plan forces the typed serial fallback" `Quick
+    test_access_plan_fallback
+  :: List.map QCheck_alcotest.to_alcotest
     [
       prop_fast_matches_reference;
       prop_fast_collect_matches_reference_collect;

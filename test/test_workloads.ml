@@ -74,6 +74,38 @@ let test_program_t_blacklisting_helps () =
   check bool "most lists leak without it" true (without > 10);
   check bool "few lists leak with it" true (with_bl <= 4)
 
+(* Table 1 at the bench's default scale (seed 1993, a quarter of each
+   platform's list length), pinned exactly as retained-list counts
+   without and with blacklisting.  As percentages these are the 18
+   [table1_*] figures of the committed bench summaries. *)
+let table1_retained =
+  [
+    ("sparc-static", (159, 0));
+    ("sparc-static-opt", (159, 0));
+    ("sparc-dynamic", (23, 1));
+    ("sparc-dynamic-opt", (23, 1));
+    ("sgi-static", (6, 0));
+    ("sgi-static-opt", (6, 0));
+    ("os2-static", (28, 1));
+    ("os2-static-opt", (28, 1));
+    ("pcr", (94, 5));
+  ]
+
+let test_program_t_table1_pinned () =
+  Alcotest.(check (list string))
+    "the nine presets" (List.map fst table1_retained)
+    (List.map (fun p -> p.W_platform.name) W_platform.all);
+  List.iter
+    (fun p ->
+      let name = p.W_platform.name in
+      let off, on = List.assoc name table1_retained in
+      let row = W_program_t.run_row ~seed:1993 ~nodes:(p.W_platform.nodes_per_list / 4) p in
+      check int (name ^ " retained, blacklisting off") off
+        row.W_program_t.without_blacklisting.W_program_t.retained;
+      check int (name ^ " retained, blacklisting on") on
+        row.W_program_t.with_blacklisting.W_program_t.retained)
+    W_platform.all
+
 let test_program_t_deterministic () =
   let p = W_platform.os2_static ~optimized:false in
   let a = W_program_t.run ~seed:5 ~lists:15 ~nodes:300 p in
@@ -327,6 +359,7 @@ let () =
           Alcotest.test_case "small run" `Quick test_program_t_small;
           Alcotest.test_case "blacklisting helps" `Slow test_program_t_blacklisting_helps;
           Alcotest.test_case "deterministic" `Quick test_program_t_deterministic;
+          Alcotest.test_case "table 1 pinned" `Slow test_program_t_table1_pinned;
           Alcotest.test_case "clean platform" `Quick test_program_t_clean_platform_retains_nothing;
         ] );
       ( "grid",
