@@ -607,7 +607,6 @@ let resilience ~smoke ?collectors () =
   json_int "resilience_ooms_caught" (sum (fun o -> o.W.Chaos.ooms_caught));
   json_int "resilience_blacklist_overrides" (sum (fun o -> o.W.Chaos.overrides));
   json_int "resilience_ladder_collects" (sum_s (fun s -> s.Cgc.Stats.ladder_collects));
-  json_int "resilience_ladder_drains" (sum_s (fun s -> s.Cgc.Stats.ladder_drains));
   json_int "resilience_ladder_trims" (sum_s (fun s -> s.Cgc.Stats.ladder_trims));
   json_int "resilience_ladder_expansions" (sum_s (fun s -> s.Cgc.Stats.ladder_expansions));
   json_int "resilience_ladder_backoffs" (sum_s (fun s -> s.Cgc.Stats.ladder_backoffs));
@@ -794,41 +793,7 @@ let timing () =
     "@.paper: \"the stand-alone collector can still allocate and collect an 8 byte@.\
      object in around 2 microseconds under optimal conditions ... much faster than@.\
      malloc/free round-trip times for most malloc implementations\"  (absolute@.\
-     numbers differ — ours pay the simulation tax — the ordering is what matters)@.";
-  (* lazy sweeping: stop-the-world pause under a garbage churn (the
-     collect-time drain and deferred sweeps run in allocation slack) *)
-  Format.printf "@.collection pause under churn (500k garbage cons cells, mixed live set):@.";
-  List.iter
-    (fun lazy_sweep ->
-      let mem = Mem.create () in
-      let data =
-        Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000)
-          ~size:0x1000
-      in
-      let gc =
-        Cgc.Gc.create
-          ~config:{ Cgc.Config.default with Cgc.Config.lazy_sweep }
-          mem ~base:(Addr.of_int 0x400000) ~max_bytes:(16 * 1024 * 1024) ()
-      in
-      Cgc.Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"roots";
-      (* 256 KB stays live throughout *)
-      let prev = ref 0 in
-      for _ = 1 to 256 * 1024 / 8 do
-        let c = Cgc.Gc.allocate gc 8 in
-        Cgc.Gc.set_field gc c 1 !prev;
-        prev := Addr.to_int c;
-        Segment.write_word data (Segment.base data) !prev
-      done;
-      for _ = 1 to 500_000 do
-        ignore (Cgc.Gc.allocate gc 8)
-      done;
-      let s = Cgc.Gc.stats gc in
-      Format.printf "  %-6s %3d collections, mean pause %7.2f ms (mark %5.2f ms of it)@.%!"
-        (if lazy_sweep then "lazy" else "eager")
-        s.Cgc.Stats.collections
-        (1000. *. s.Cgc.Stats.total_gc_seconds /. float_of_int (max 1 s.Cgc.Stats.collections))
-        (1000. *. s.Cgc.Stats.mark_seconds /. float_of_int (max 1 s.Cgc.Stats.collections)))
-    [ false; true ]
+     numbers differ — ours pay the simulation tax — the ordering is what matters)@."
 
 (* ------------------------------------------------------------------ *)
 

@@ -235,7 +235,6 @@ let run (p : Ir.program) =
           bk_collect =
             (fun () ->
               Gc.collect gc;
-              ignore (Gc.drain_pending_sweeps gc);
               ignore (Gc.drain_finalized gc));
         })
       p

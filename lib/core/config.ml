@@ -16,7 +16,6 @@ type t = {
   avoid_trailing_zeros : int option;
   initial_pages : int;
   space_divisor : int;
-  lazy_sweep : bool;
   mark_stack_limit : int option;
   full_gc_at_startup : bool;
   relax_blacklist : bool;
@@ -37,7 +36,6 @@ let default =
     avoid_trailing_zeros = None;
     initial_pages = 64;
     space_divisor = 3;
-    lazy_sweep = false;
     mark_stack_limit = None;
     full_gc_at_startup = true;
     relax_blacklist = false;
@@ -103,7 +101,7 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>page_size=%d granule=%d interior=%b displacements=[%s] large=%s align=%d@,\
      blacklist=%b buckets=%s refresh=%b atomic_on_black=%b avoid_tz=%s@,\
-     initial_pages=%d divisor=%d lazy_sweep=%b mark_stack_limit=%s startup_gc=%b \
+     initial_pages=%d divisor=%d mark_stack_limit=%s startup_gc=%b \
      relax_blacklist=%b@]"
     t.page_size t.granule t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
@@ -112,4 +110,4 @@ let pp ppf t =
     | First_page_only -> "first-page")
     t.alignment t.blacklisting (opt ~none:"exact" t.blacklist_buckets) t.blacklist_refresh
     t.atomic_on_black_pages (opt ~none:"off" t.avoid_trailing_zeros) t.initial_pages t.space_divisor
-    t.lazy_sweep (opt ~none:"unbounded" t.mark_stack_limit) t.full_gc_at_startup t.relax_blacklist
+    (opt ~none:"unbounded" t.mark_stack_limit) t.full_gc_at_startup t.relax_blacklist

@@ -59,13 +59,6 @@ type t = {
       (** collect when bytes allocated since the last collection exceed
           committed-heap-bytes / [space_divisor]; smaller keeps the heap
           tighter at the price of more frequent collections *)
-  lazy_sweep : bool;
-      (** defer sweeping: a collection only marks; pages are swept
-          on demand by the allocator (and any leftovers just before the
-          next mark).  Shortens the stop-the-world pause at the price of
-          delayed reclamation — [is_allocated] reports garbage as live
-          until its page is swept, and [Stats.live_bytes] is refreshed
-          only when a full sweep completes *)
   mark_stack_limit : int option;
       (** bound on the explicit mark stack; on overflow the marker drops
           entries and recovers by rescanning marked objects until a

@@ -17,8 +17,6 @@ let create ~n_classes policy =
   let make () = Array.init (n_classes + 1) (fun _ -> { items = []; count = 0 }) in
   { policy; normal = make (); atomic = make () }
 
-let policy t = t.policy
-
 let entry t ~granules ~pointer_free =
   let arr = if pointer_free then t.atomic else t.normal in
   if granules < 1 || granules >= Array.length arr then
@@ -55,19 +53,7 @@ let set_class t ~granules ~pointer_free items =
   e.items <- items;
   e.count <- List.length items
 
-let length t ~granules ~pointer_free = (entry t ~granules ~pointer_free).count
 let to_list t ~granules ~pointer_free = (entry t ~granules ~pointer_free).items
-
-let clear t =
-  let wipe arr =
-    Array.iter
-      (fun e ->
-        e.items <- [];
-        e.count <- 0)
-      arr
-  in
-  wipe t.normal;
-  wipe t.atomic
 
 let drop_in_page t ~granules ~pointer_free ~page_of ~page =
   let e = entry t ~granules ~pointer_free in

@@ -17,8 +17,6 @@ val create : n_classes:int -> policy -> t
     for normal and one for pointer-free pages (objects of the two kinds
     live on different pages and must not mix). *)
 
-val policy : t -> policy
-
 val take : t -> granules:int -> pointer_free:bool -> int option
 (** Pop the first free object of the class, if any. *)
 
@@ -33,12 +31,8 @@ val prepend_block : t -> granules:int -> pointer_free:bool -> int list -> unit
 (** Put a freshly carved page's slots (in ascending order) at the front
     of the class so they are handed out lowest-address-first. *)
 
-val length : t -> granules:int -> pointer_free:bool -> int
-
 val to_list : t -> granules:int -> pointer_free:bool -> int list
 (** Non-destructive snapshot of a class's entries, front first. *)
-
-val clear : t -> unit
 
 val drop_in_page : t -> granules:int -> pointer_free:bool -> page_of:(int -> int) -> page:int -> unit
 (** Remove every entry whose [page_of] address equals [page] (used when

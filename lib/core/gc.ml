@@ -11,7 +11,6 @@ type t = {
   finalize : Finalize.t;
   stats : Stats.t;
   marker : Mark.t;
-  pending_sweep : Bitset.t; (* lazy mode: pages awaiting their sweep *)
   decayed_pages : Bitset.t;
       (* pages quarantined after their memory decayed under the
          allocator: every placement path excludes them, and sweeps never
@@ -31,7 +30,6 @@ type t = {
 
 type rung =
   | Collect
-  | Drain
   | Trim
   | Grow
   | Relax_first_page
@@ -40,7 +38,6 @@ type rung =
 
 let rung_to_string = function
   | Collect -> "collect"
-  | Drain -> "drain"
   | Trim -> "trim"
   | Grow -> "grow"
   | Relax_first_page -> "relax-first-page"
@@ -119,7 +116,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       finalize = Finalize.create ();
       stats;
       marker;
-      pending_sweep = Bitset.create (Heap.n_pages heap);
       decayed_pages = Bitset.create (Heap.n_pages heap);
       allocated_since_gc = 0;
       auto_collect = true;
@@ -155,43 +151,18 @@ let clear_roots t = Roots.clear t.roots
 
 let quarantined t i = Bitset.mem t.decayed_pages i
 
-(* Lazy mode: sweep every page still awaiting its sweep. *)
-let drain_pending_sweeps t =
-  let freed = ref 0 in
-  let quarantined = quarantined t in
-  Bitset.iter
-    (fun i ->
-      freed := !freed + Sweep.sweep_page ~quarantined t.heap t.free_lists t.finalize t.stats i)
-    t.pending_sweep;
-  Bitset.clear t.pending_sweep;
-  !freed
-
 let collect t =
   let t0 = Stats.now () in
   t.stats.Stats.collections <- t.stats.Stats.collections + 1;
-  if t.config.Config.lazy_sweep then begin
-    (* leftovers from the previous cycle must go before marks are reset *)
-    let (_ : int) = drain_pending_sweeps t in
-    Mark.run t.marker t.roots ~mem:t.mem;
-    let t1 = Stats.now () in
-    Heap.iter_committed t.heap (fun i p ->
-        match p with
-        | Page.Small _ | Page.Large_head _ -> Bitset.add t.pending_sweep i
-        | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
-    t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
-    t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t1 -. t0)
-  end
-  else begin
-    Mark.run t.marker t.roots ~mem:t.mem;
-    let t1 = Stats.now () in
-    let (_ : Sweep.result) =
-      Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
-    in
-    let t2 = Stats.now () in
-    t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
-    t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t2 -. t1);
-    t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)
-  end;
+  Mark.run t.marker t.roots ~mem:t.mem;
+  let t1 = Stats.now () in
+  let (_ : Sweep.result) =
+    Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
+  in
+  let t2 = Stats.now () in
+  t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
+  t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t2 -. t1);
+  t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0);
   t.allocated_since_gc <- 0
 
 let trim t =
@@ -282,9 +253,6 @@ let commit_fresh_page t ~ok =
   go (Heap.committed_pages t.heap)
 
 let try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault =
-  (* before taking a brand-new page, finish any deferred sweeping: it
-     may free whole pages *)
-  if t.config.Config.lazy_sweep then ignore (drain_pending_sweeps t);
   let ok = page_ok t ~pointer_free ~small:true ~tier in
   let found =
     match Heap.find_free_page t.heap ~ok with
@@ -337,10 +305,10 @@ let grow_with_backoff t ~need_pages ~note_fault =
 (* Drive one request up the escalation ladder.  [attempt ~tier ~note_fault]
    makes one complete placement attempt at the given blacklist
    strictness; the ladder runs it first at [Tier_strict], then after
-   each rung that changed something: collect, drain deferred sweeps,
-   trim + retry, grow with capped backoff, blacklist relaxation
-   (opt-in, [Config.relax_blacklist]), the registered out-of-memory
-   hook, and finally a structured raise carrying the diagnosis. *)
+   each rung that changed something: collect, trim + retry, grow with
+   capped backoff, blacklist relaxation (opt-in,
+   [Config.relax_blacklist]), the registered out-of-memory hook, and
+   finally a structured raise carrying the diagnosis. *)
 let run_ladder t ~request_bytes ~request_pages ~small ~pointer_free ~attempt =
   let stats = t.stats in
   let rungs = ref [] in
@@ -359,16 +327,6 @@ let run_ladder t ~request_bytes ~request_pages ~small ~pointer_free ~attempt =
                rung Collect;
                stats.Stats.ladder_collects <- stats.Stats.ladder_collects + 1;
                (match t.collect_hook with Some f -> f () | None -> collect t);
-               true
-             end),
-        Tier_strict );
-      ( (fun () ->
-          t.config.Config.lazy_sweep
-          && (not (Bitset.is_empty t.pending_sweep))
-          && begin
-               rung Drain;
-               stats.Stats.ladder_drains <- stats.Stats.ladder_drains + 1;
-               ignore (drain_pending_sweeps t);
                true
              end),
         Tier_strict );
@@ -478,10 +436,6 @@ let set_alloc_bit t base =
       let rel = Addr.diff base (Heap.page_addr t.heap index) - s.Page.first_offset in
       let obj = rel / s.Page.object_bytes in
       Bitset.add s.Page.alloc obj;
-      (* lazy mode allocates black: the page may still await its sweep,
-         which would otherwise reclaim this unmarked newcomer *)
-      if t.config.Config.lazy_sweep && Bitset.mem t.pending_sweep index then
-        Bitset.add s.Page.mark obj;
       true
   | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> false
 
@@ -516,54 +470,10 @@ let quarantine_object t base =
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
   mark_page_decayed t index
 
-(* Lazy mode: sweep pending pages of this class until one yields. *)
-let sweep_pending_for_class t ~granules ~pointer_free =
-  let found = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let candidate = ref None in
-    (try
-       Bitset.iter
-         (fun i ->
-           match Heap.page t.heap i with
-           | Page.Small s
-             when s.Page.granules = granules && s.Page.pointer_free = pointer_free ->
-               candidate := Some i;
-               raise Exit
-           | Page.Small _ | Page.Free | Page.Uncommitted | Page.Large_head _ | Page.Large_tail _
-             ->
-               ())
-         t.pending_sweep
-     with Exit -> ());
-    match !candidate with
-    | None -> continue_ := false
-    | Some i ->
-        Bitset.remove t.pending_sweep i;
-        let (_ : int) =
-          Sweep.sweep_page ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats i
-        in
-        if Free_list.length t.free_lists ~granules ~pointer_free > 0 then begin
-          found := true;
-          continue_ := false
-        end
-  done;
-  !found
-
 let rec allocate_small t ~granules ~pointer_free =
   let take () = Free_list.take t.free_lists ~granules ~pointer_free in
-  let take_with_lazy () =
-    match take () with
-    | Some a -> Some a
-    | None ->
-        if
-          t.config.Config.lazy_sweep
-          && (not (Bitset.is_empty t.pending_sweep))
-          && sweep_pending_for_class t ~granules ~pointer_free
-        then take ()
-        else None
-  in
   let attempt ~tier ~note_fault =
-    match take_with_lazy () with
+    match take () with
     | Some a -> Some a
     | None ->
         if try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault then take ()
@@ -645,14 +555,15 @@ let allocate_large t ~bytes ~pointer_free =
       go 0
     end
   in
-  let place ~tier ~note_fault =
+  let attempt ~tier ~note_fault =
     match find ~tier with
     | None -> None
     | Some start -> (
+        let committed_before = Heap.committed_pages t.heap in
         match Heap.commit_through t.heap (start + n - 1) with
         | false -> None
         | true ->
-            if start + n - 1 >= Heap.committed_pages t.heap - 1 then
+            if Heap.committed_pages t.heap > committed_before then
               t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
             if tier <> Tier_strict then count_overrides t ~lo:start ~hi:(start + n);
             Heap.set_page t.heap start
@@ -665,11 +576,6 @@ let allocate_large t ~bytes ~pointer_free =
             (* the committed prefix of the run stays [Free]: coherent *)
             note_fault ();
             None)
-  in
-  let attempt ~tier ~note_fault =
-    (* large placement needs an accurate page map *)
-    if t.config.Config.lazy_sweep then ignore (drain_pending_sweeps t);
-    place ~tier ~note_fault
   in
   run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~pointer_free ~attempt
 
@@ -775,7 +681,6 @@ let pp ppf t =
 
 module Internal = struct
   let free_lists t = t.free_lists
-  let pending_sweep t = t.pending_sweep
   let decayed_pages t = t.decayed_pages
   let finalize t = t.finalize
   let roots t = t.roots

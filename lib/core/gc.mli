@@ -23,14 +23,13 @@ type t
 (** {1 Failure semantics}
 
     A request that cannot be satisfied outright climbs an escalation
-    ladder — collect, drain deferred sweeps, trim + retry, grow with
-    capped-backoff expansion sizing, optional blacklist relaxation, the
-    registered out-of-memory hook — before {!Out_of_memory} is raised.
+    ladder — collect, trim + retry, grow with capped-backoff expansion
+    sizing, optional blacklist relaxation, the registered out-of-memory
+    hook — before {!Out_of_memory} is raised.
     Each rung is counted in {!Stats}; the raise carries a diagnosis. *)
 
 type rung =
   | Collect  (** a collection forced on behalf of the request *)
-  | Drain  (** lazy mode: deferred sweeps finished *)
   | Trim  (** trailing free pages returned to the OS, refunding commit quota *)
   | Grow  (** batch heap expansion with capped backoff *)
   | Relax_first_page
@@ -136,10 +135,6 @@ val collect : t -> unit
 (** A full stop-the-world collection: conservative mark from all
     registered roots (updating the blacklist), then sweep. *)
 
-val drain_pending_sweeps : t -> int
-(** Lazy-sweep mode: finish all deferred sweeping now; returns objects
-    freed.  A no-op (0) in eager mode or when nothing is pending. *)
-
 val trim : t -> int
 (** Return trailing committed-but-free pages to the simulated OS
     (lowering the committed watermark).  Returns pages released.  The
@@ -190,10 +185,6 @@ val pp : Format.formatter -> t -> unit
     ({!Precise}) and to white-box tests.  Not part of the stable API. *)
 module Internal : sig
   val free_lists : t -> Free_list.t
-
-  val pending_sweep : t -> Bitset.t
-  (** Lazy mode: pages awaiting their deferred sweep (empty in eager
-      mode).  Exposed for {!Verify.check_after_fault}. *)
 
   val decayed_pages : t -> Bitset.t
   (** Pages quarantined after a decay write fault: excluded from every

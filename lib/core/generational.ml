@@ -26,8 +26,6 @@ type t = {
 
 let create ?(promote_after = 2) gc =
   if promote_after < 1 then invalid_arg "Generational.create: promote_after must be >= 1";
-  if (Gc.config gc).Config.lazy_sweep then
-    invalid_arg "Generational.create: incompatible with lazy_sweep (minor sweeps are eager)";
   let n = Heap.n_pages (Gc.heap gc) in
   {
     gc;

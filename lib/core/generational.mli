@@ -36,8 +36,7 @@ val create : ?promote_after:int -> Gc.t -> t
     should have automatic collection disabled: the generational policy
     decides when to collect.  Do not mix [Gc.collect] with minor
     collections except through {!major}.
-    @raise Invalid_argument if the collector is configured with
-    [lazy_sweep] (generational sweeping is eager by construction). *)
+    @raise Invalid_argument if [promote_after] is below 1. *)
 
 val gc : t -> Gc.t
 

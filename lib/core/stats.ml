@@ -171,7 +171,7 @@ let pp ppf t =
      heap expansions %d@,\
      mark overflows  %d@,\
      blacklist       %d alloc checks, %d pages rejected@,\
-     ladder          %d collects, %d drains, %d trims, %d grows (%d backoffs)@,\
+     ladder          %d collects, %d trims, %d grows (%d backoffs)@,\
      relaxation      %d first-page, %d on-black, %d oom hooks@,\
      faults          %d commit faults, %d OOM raised@,\
      access faults   %d reads (%d mark downgrades), %d writes@,\
@@ -182,7 +182,7 @@ let pp ppf t =
     t.objects_allocated
     t.bytes_allocated t.objects_freed t.bytes_freed t.live_objects t.live_bytes t.heap_expansions
     t.mark_stack_overflows t.blacklist_alloc_checks t.blacklist_rejected_pages
-    t.ladder_collects t.ladder_drains t.ladder_trims t.ladder_expansions t.ladder_backoffs
+    t.ladder_collects t.ladder_trims t.ladder_expansions t.ladder_backoffs
     t.ladder_relax_first_page t.ladder_relax_black t.ladder_oom_hooks
     t.commit_faults t.oom_raised
     t.read_faults t.mark_downgrades t.write_faults

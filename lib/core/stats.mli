@@ -20,12 +20,19 @@ type t = {
   mutable live_bytes : int;  (** after the most recent sweep *)
   mutable live_objects : int;
   mutable heap_expansions : int;
+      (** placements that grew the committed heap: a fresh small page
+          committed past the watermark, or a large run whose commit
+          raised it (a run placed entirely on committed pages does not
+          count) *)
   mutable mark_stack_overflows : int;
   mutable blacklist_alloc_checks : int;  (** allocation-side page checks *)
   mutable blacklist_rejected_pages : int;  (** fresh-page choices vetoed by the blacklist *)
   mutable ladder_collects : int;
       (** allocation-ladder rung: collections forced by a failed request *)
-  mutable ladder_drains : int;  (** rung: pending lazy sweeps drained *)
+  mutable ladder_drains : int;
+      (** always 0: the collector sweeps eagerly and has no drain rung.
+          Kept only because the layered benchmark's ladder meter still
+          sums it; the next benchmark change retires the field. *)
   mutable ladder_trims : int;  (** rung: trailing free pages released and the request retried *)
   mutable ladder_expansions : int;  (** rung: heap growth attempts on behalf of a request *)
   mutable ladder_backoffs : int;

@@ -10,52 +10,6 @@ type result = {
 
 let no_quarantine _ = false
 
-let sweep_page ?(quarantined = no_quarantine) heap free_lists finalize stats index =
-  let freed = ref 0 in
-  (match Heap.page heap index with
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
-  | Page.Small s ->
-      let page_base = Addr.to_int (Heap.page_addr heap index) + s.Page.first_offset in
-      (* A quarantined (decayed) page still has its dead objects freed
-         and finalized, but their slots must not re-enter the free
-         lists: nothing may be allocated from decayed memory again. *)
-      let refund = not (quarantined index) in
-      (* Word-level enumeration of allocated slots: whole empty words of
-         the alloc bitmap are skipped instead of probed bit by bit. *)
-      Bitset.iter_set s.Page.alloc (fun obj ->
-          if not (Bitset.mem s.Page.mark obj) then begin
-            Bitset.remove s.Page.alloc obj;
-            incr freed;
-            stats.Stats.objects_freed <- stats.Stats.objects_freed + 1;
-            stats.Stats.bytes_freed <- stats.Stats.bytes_freed + s.Page.object_bytes;
-            let a = page_base + (obj * s.Page.object_bytes) in
-            Finalize.on_reclaimed finalize a;
-            if refund then
-              Free_list.add free_lists ~granules:s.Page.granules
-                ~pointer_free:s.Page.pointer_free a
-          end);
-      Bitset.clear s.Page.mark;
-      if Bitset.is_empty s.Page.alloc then begin
-        Free_list.drop_in_page free_lists ~granules:s.Page.granules
-          ~pointer_free:s.Page.pointer_free
-          ~page_of:(fun a -> Heap.page_index heap (Addr.of_int a))
-          ~page:index;
-        Heap.set_page heap index Page.Free
-      end
-  | Page.Large_head l ->
-      if l.Page.l_allocated && not l.Page.l_marked then begin
-        l.Page.l_allocated <- false;
-        incr freed;
-        stats.Stats.objects_freed <- stats.Stats.objects_freed + 1;
-        stats.Stats.bytes_freed <- stats.Stats.bytes_freed + l.Page.object_bytes;
-        Finalize.on_reclaimed finalize (Addr.to_int (Heap.page_addr heap index));
-        for j = index to index + l.Page.n_pages - 1 do
-          Heap.set_page heap j Page.Free
-        done
-      end;
-      l.Page.l_marked <- false);
-  !freed
-
 let default_policy _ _ = `Sweep
 
 let run ?(policy = default_policy) ?(quarantined = no_quarantine) heap free_lists finalize stats =

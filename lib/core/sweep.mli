@@ -15,19 +15,6 @@ type result = {
   pages_released : int;  (** pages returned to the free pool *)
 }
 
-val sweep_page :
-  ?quarantined:(int -> bool) -> Heap.t -> Free_list.t -> Finalize.t -> Stats.t -> int -> int
-(** Sweep a single page using its current mark bits: frees unmarked
-    objects (appending their slots to the free lists), clears the mark
-    bits, feeds the finalization queue, and releases the page to the
-    free pool when it empties (withdrawing its stale free-list entries).
-    Returns the number of objects freed.  The building block of lazy
-    sweeping.
-
-    [quarantined] (default: nothing) marks decayed pages: their dead
-    objects are still freed and finalized, but the slots never re-enter
-    the free lists, so the allocator cannot hand out rotted memory. *)
-
 val run :
   ?policy:(int -> Page.t -> [ `Sweep | `Keep_live ]) ->
   ?quarantined:(int -> bool) ->

@@ -214,15 +214,6 @@ let check_after_fault gc =
       | Page.Free | Page.Uncommitted | Page.Large_tail _ ->
           if free_slots.(i) > 0 then
             add "%d free slots recorded on non-small page %d" free_slots.(i) i);
-  Bitset.iter
-    (fun i ->
-      if i >= committed then add "pending-sweep bit on page %d past the watermark %d" i committed
-      else
-        match Heap.page heap i with
-        | Page.Small _ | Page.Large_head _ -> ()
-        | Page.Free | Page.Uncommitted | Page.Large_tail _ ->
-            add "pending-sweep bit on unsweepable page %d" i)
-    (Gc.Internal.pending_sweep gc);
   (* decayed pages are quarantined: sweeps must never refund their
      slots, so the free lists must hold nothing on them *)
   Bitset.iter

@@ -35,9 +35,8 @@ val check_after_fault : Gc.t -> string list
     injected fault must not break: no large object extends past the
     committed watermark (a run cut short mid-commit must have been
     abandoned as [Free] pages), every size-class page's allocated +
-    free-listed slots fit its capacity (no half-initialized carve),
-    pending-sweep bookkeeping only covers committed, sweepable pages,
-    and no free-list slot lives on a quarantined (decayed) page. *)
+    free-listed slots fit its capacity (no half-initialized carve), and
+    no free-list slot lives on a quarantined (decayed) page. *)
 
 val check_heap : Heap.t -> string list
 (** The heap-level subset of {!check} — page-table shape, descriptor

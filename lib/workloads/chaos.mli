@@ -3,7 +3,7 @@
 
     Each scenario runs the soak-style random mutator (allocations small
     and large, links, field reads, dropped roots, planted false
-    references, explicit collections, drains, trims) against a backend
+    references, explicit collections, trims) against a backend
     whose simulated memory is failing according to a deterministic
     {!Cgc_vm.Mem.Fault} plan — refused commits, ECC-style read faults,
     refused writes, or permanent decay of whole regions.  After every
@@ -99,8 +99,8 @@ val base_config : Cgc.Config.t
     pages) so fault plans bite quickly. *)
 
 val default_scenarios : (string * Cgc.Config.t) list
-(** eager, lazy, bounded mark stack, hashed blacklist, and
-    relax-blacklist variants of {!base_config}. *)
+(** eager, bounded mark stack, hashed blacklist, and relax-blacklist
+    variants of {!base_config}. *)
 
 val default_plans : seed:int -> plan_spec list
 (** A re-arming countdown, a seeded probability, and a commit quota —

@@ -5,7 +5,7 @@
     atomic blobs, embedded-link records, large arrays), maintains exact
     root providers as it links, unlinks and drops objects, and
     re-enacts the conservative soak repertoire (field reads and writes,
-    explicit collects, drains, trims) — the capability the untyped
+    explicit collects, trims) — the capability the untyped
     random mutator cannot provide, and the precondition for driving the
     precise collector through the chaos matrix.
 
@@ -39,7 +39,6 @@ type op =
       (** a scalar (non-pointer-map) word write; about half the values
           are heap-looking — the misidentification seed *)
   | Collect
-  | Drain
   | Trim
 
 val trace : seed:int -> steps:int -> op array
@@ -53,8 +52,7 @@ type session
 val make_session : config:Cgc.Config.t -> Cgc.Precise.t -> op array -> session
 (** Build the differential session: registers an exact root provider on
     the precise view and constructs the conservative twin (own
-    {!Mem.t}, same scenario [config] but serial marking and eager
-    sweeps, never a fault plan). *)
+    {!Mem.t}, same scenario [config], never a fault plan). *)
 
 val step : session -> op -> [ `Ok | `Oom | `Read_fault | `Write_fault | `Aborted ]
 (** Apply one op to both sides.  The result classifies the {e precise}

@@ -64,8 +64,7 @@ let test_quota_fires () =
 
 let test_determinism () =
   let run () =
-    Chaos.run_scenario ~steps:600 ~seed:42 ~scenario:"lazy"
-      ~config:(List.assoc "lazy" Chaos.default_scenarios)
+    Chaos.run_scenario ~steps:600 ~seed:42 ~scenario:"eager" ~config:Chaos.base_config
       ~plan:(Chaos.Chance { probability = 0.1; seed = 5 })
       ()
   in

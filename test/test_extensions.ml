@@ -200,84 +200,6 @@ let test_inspect_summary () =
   let map = Format.asprintf "%a" Inspect.pp_page_map gc in
   check bool "map prints L for large" true (String.contains map 'L')
 
-(* --- lazy sweeping --- *)
-
-let lazy_config = { Config.default with Config.initial_pages = 16; lazy_sweep = true }
-
-let test_lazy_defers_reclamation () =
-  let _, globals, gc = make_env ~config:lazy_config () in
-  let keep = Gc.allocate gc 8 in
-  let garbage = Gc.allocate gc 8 in
-  set_slot globals 0 (Addr.to_int keep);
-  Gc.collect gc;
-  check bool "garbage still 'allocated' right after a lazy collect" true
-    (Gc.is_allocated gc garbage);
-  let freed = Gc.drain_pending_sweeps gc in
-  check bool "drain frees it" true (freed >= 1);
-  check bool "garbage gone after drain" false (Gc.is_allocated gc garbage);
-  check bool "live object kept" true (Gc.is_allocated gc keep);
-  check (Alcotest.list Alcotest.string) "invariants hold" [] (Cgc.Verify.check gc)
-
-let test_lazy_allocation_recycles () =
-  let _, globals, gc = make_env ~config:lazy_config () in
-  ignore globals;
-  let garbage = Array.init 200 (fun _ -> Gc.allocate gc 8) in
-  Gc.collect gc;
-  (* keep allocating until the pre-existing free slots are exhausted:
-     the allocator must then recycle swept garbage slots *)
-  let reused = ref false in
-  for _ = 1 to 450 do
-    let a = Gc.allocate gc 8 in
-    if Array.exists (Addr.equal a) garbage then reused := true
-  done;
-  check bool "garbage addresses recycled" true !reused
-
-let test_lazy_allocates_black () =
-  let _, globals, gc = make_env ~config:lazy_config () in
-  ignore (Gc.allocate gc 8);
-  Gc.collect gc;
-  (* this allocation lands on a pending page; the later drain must not
-     reclaim it *)
-  let a = Gc.allocate gc 8 in
-  set_slot globals 0 (Addr.to_int a);
-  ignore (Gc.drain_pending_sweeps gc);
-  check bool "fresh object survives the deferred sweep" true (Gc.is_allocated gc a)
-
-let test_lazy_matches_eager_final_state () =
-  let run config =
-    let _, globals, gc = make_env ~config () in
-    let rng = Rng.create 41 in
-    let objs = Array.init 200 (fun _ -> Gc.allocate gc 8) in
-    for i = 0 to 199 do
-      if Rng.bool rng then
-        Gc.set_field gc objs.(i) 0 (Addr.to_int objs.(Rng.int rng 200))
-    done;
-    for i = 0 to 9 do
-      set_slot globals i (Addr.to_int objs.(Rng.int rng 200))
-    done;
-    Gc.collect gc;
-    ignore (Gc.drain_pending_sweeps gc);
-    Array.map (Gc.is_allocated gc) objs
-  in
-  let eager = run { Config.default with Config.initial_pages = 16 } in
-  let lazy_ = run lazy_config in
-  check bool "identical liveness" true (eager = lazy_)
-
-let test_lazy_large_objects () =
-  let _, globals, gc = make_env ~config:lazy_config () in
-  let big = Gc.allocate gc (3 * 4096) in
-  set_slot globals 0 (Addr.to_int big);
-  let dead_big = Gc.allocate gc (3 * 4096) in
-  ignore dead_big;
-  Gc.collect gc;
-  (* a new large allocation forces the pending drain; the freed pages are
-     the lowest free run, so the new object lands exactly there *)
-  let big2 = Gc.allocate gc (3 * 4096) in
-  check bool "live large kept" true (Gc.is_allocated gc big);
-  check bool "dead large reclaimed and its pages reused" true
-    (Addr.equal big2 dead_big || not (Gc.is_allocated gc dead_big));
-  check bool "new large allocated" true (Gc.is_allocated gc big2)
-
 (* --- verify: the checker actually detects corruption --- *)
 
 module Verify = Cgc.Verify
@@ -404,15 +326,6 @@ let test_gen_fresh_allocation_stays_young () =
   Generational.minor gen;
   let b = Generational.allocate gen 8 in
   check bool "fresh object is young" false (Generational.is_old gen b)
-
-let test_gen_rejects_lazy_config () =
-  let config = { Config.default with Config.initial_pages = 16; lazy_sweep = true } in
-  let _, _, gc = make_env ~config () in
-  check bool "lazy config rejected" true
-    (try
-       ignore (Generational.create gc);
-       false
-     with Invalid_argument _ -> true)
 
 (* The major lifecycle: a full collection empties the whole dirty set
    (not just the bits of pages that became free) and resets the
@@ -671,14 +584,6 @@ let () =
           Alcotest.test_case "matches unbounded" `Quick test_mark_overflow_matches_unbounded;
         ] );
       ("inspect", [ Alcotest.test_case "summary" `Quick test_inspect_summary ]);
-      ( "lazy-sweep",
-        [
-          Alcotest.test_case "defers reclamation" `Quick test_lazy_defers_reclamation;
-          Alcotest.test_case "allocation recycles" `Quick test_lazy_allocation_recycles;
-          Alcotest.test_case "allocates black" `Quick test_lazy_allocates_black;
-          Alcotest.test_case "matches eager" `Quick test_lazy_matches_eager_final_state;
-          Alcotest.test_case "large objects" `Quick test_lazy_large_objects;
-        ] );
       ( "verify",
         [
           Alcotest.test_case "clean heap" `Quick test_verify_clean_heap;
@@ -695,7 +600,6 @@ let () =
           Alcotest.test_case "write barrier" `Quick test_gen_write_barrier;
           Alcotest.test_case "missing barrier" `Quick test_gen_missing_barrier_loses_object;
           Alcotest.test_case "fresh stays young" `Quick test_gen_fresh_allocation_stays_young;
-          Alcotest.test_case "rejects lazy config" `Quick test_gen_rejects_lazy_config;
           Alcotest.test_case "major clears dirty set" `Quick test_gen_major_clears_dirty;
           Alcotest.test_case "carry keeps sticky young reference" `Quick
             test_gen_carry_keeps_sticky_young_reference;

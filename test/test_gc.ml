@@ -185,13 +185,12 @@ let test_pp_smoke () =
   Gc.collect gc;
   let non_empty s = String.length s > 0 in
   check bool "config pp" true (non_empty (Format.asprintf "%a" Config.pp Config.default));
-  (* non-default buckets, lazy sweep and mark-stack limit are shown *)
+  (* non-default buckets and mark-stack limit are shown *)
   let printed =
     Format.asprintf "%a" Config.pp
       {
         Config.default with
         Config.blacklist_buckets = Some 1024;
-        lazy_sweep = true;
         mark_stack_limit = Some 32;
       }
   in
@@ -202,7 +201,7 @@ let test_pp_smoke () =
   in
   List.iter
     (fun needle -> check bool ("config pp shows " ^ needle) true (mentions needle))
-    [ "buckets=1024"; "lazy_sweep=true"; "mark_stack_limit=32" ];
+    [ "buckets=1024"; "mark_stack_limit=32" ];
   check bool "stats pp" true (non_empty (Format.asprintf "%a" Stats.pp (Gc.stats gc)));
   check bool "gc pp" true (non_empty (Format.asprintf "%a" Gc.pp gc));
   check bool "heap pp" true (non_empty (Format.asprintf "%a" Heap.pp (Gc.heap gc)));
@@ -644,6 +643,21 @@ let test_heap_grows_on_demand () =
   check bool "heap expanded" true (Heap.committed_pages (Gc.heap gc) > 1);
   Gc.collect gc;
   check int "all 2000 cells live" 2000 (Gc.stats gc).Stats.live_objects
+
+(* A large run placed on pages that are already committed is not an
+   expansion, even when it ends at the committed watermark. *)
+let test_large_on_committed_pages_is_not_expansion () =
+  let config = { Config.default with Config.initial_pages = 4; full_gc_at_startup = false } in
+  let _, _, gc = make_env ~config () in
+  ignore (Gc.allocate gc (4 * 4096));
+  Gc.collect gc;
+  ignore (Gc.allocate gc (4 * 4096));
+  check int "committed pages unchanged" 4 (Heap.committed_pages (Gc.heap gc));
+  check int "no heap expansions" 0 (Gc.stats gc).Stats.heap_expansions;
+  (* one page past the watermark is a real expansion *)
+  ignore (Gc.allocate gc (4 * 4096));
+  check bool "heap grew" true (Heap.committed_pages (Gc.heap gc) > 4);
+  check int "one heap expansion" 1 (Gc.stats gc).Stats.heap_expansions
 
 let test_out_of_memory () =
   let config = { Config.default with Config.initial_pages = 1 } in
@@ -1276,6 +1290,8 @@ let () =
       ( "growth",
         [
           Alcotest.test_case "grows on demand" `Quick test_heap_grows_on_demand;
+          Alcotest.test_case "large on committed pages is no expansion" `Quick
+            test_large_on_committed_pages_is_not_expansion;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
           Alcotest.test_case "auto collect" `Quick test_auto_collect_triggers;
           Alcotest.test_case "startup collection" `Quick test_startup_collection_runs_before_first_alloc;

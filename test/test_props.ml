@@ -350,36 +350,6 @@ let prop_gc_no_overlap =
 
 (* The Verify checker finds nothing after arbitrary build-and-collect
    sequences. *)
-let build_graph_env_with config g =
-  let mem = Mem.create () in
-  let data =
-    Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x1000
-  in
-  let gc = Gc.create ~config mem ~base:(Addr.of_int 0x400000) ~max_bytes:(1024 * 1024) () in
-  Gc.set_auto_collect gc false;
-  Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"roots";
-  let objs = Array.map (fun words -> Gc.allocate gc (4 * words)) g.g_sizes in
-  List.iter (fun (s, f, d) -> Gc.set_field gc objs.(s) f (Addr.to_int objs.(d))) g.g_edges;
-  List.iteri
-    (fun i r ->
-      Segment.write_word data (Addr.add (Segment.base data) (4 * i)) (Addr.to_int objs.(r)))
-    g.g_roots;
-  (gc, objs)
-
-let prop_lazy_matches_eager =
-  QCheck.Test.make ~count:100 ~name:"lazy sweeping converges to the eager result"
-    (QCheck.make graph_gen) (fun g ->
-      let eager_gc, eager_objs = build_graph_env g in
-      Gc.collect eager_gc;
-      let lazy_gc, lazy_objs =
-        build_graph_env_with { Config.default with Config.lazy_sweep = true } g
-      in
-      Gc.collect lazy_gc;
-      ignore (Gc.drain_pending_sweeps lazy_gc);
-      Array.map (Gc.is_allocated eager_gc) eager_objs
-      = Array.map (Gc.is_allocated lazy_gc) lazy_objs
-      && Cgc.Verify.check lazy_gc = [])
-
 let prop_verify_clean =
   QCheck.Test.make ~count:100 ~name:"internal invariants hold after collection"
     (QCheck.make graph_gen) (fun g ->
@@ -771,7 +741,6 @@ let suite =
       prop_gc_no_overlap;
       prop_verify_clean;
       prop_verify_clean_under_auto_collect;
-      prop_lazy_matches_eager;
       prop_analyzer_sound;
       prop_clearing_monotone;
       prop_fixes_sound;
